@@ -9,27 +9,24 @@ closed form against brute-force computation.
 from .bigmath import (
     BERNOULLI_CAP,
     ROW_CAP,
-    StirlingRow,
     bernoulli,
     binomial,
     harmonic_sym,
     stirling1,
     stirling1_row,
-    stirling1_row_uncached,
     stirling1_shifted,
     stirling1_shifted_row,
 )
-from .errors import DomainError, RowTooLargeError, StirvalError, UsageError
+from .errors import DomainError, InvariantError, RowTooLargeError, StirvalError, UsageError
 from .oracles import (
     BoundKind,
     OracleResult,
-    Query3,
     QueryP,
     conjecture13_valuation,
     cor1_valuation,
-    decompose,
     decompose_p,
     full_valuation_3,
+    full_valuation_p,
     h_valuation,
     komatsu_young_valuation,
     lengyel_special,
@@ -72,12 +69,11 @@ __all__ = [
     "CheckRecord",
     "DomainError",
     "INFINITE",
+    "InvariantError",
     "OracleResult",
     "Prime",
-    "Query3",
     "QueryP",
     "RowTooLargeError",
-    "StirlingRow",
     "StirvalError",
     "UsageError",
     "Valuation",
@@ -94,11 +90,11 @@ __all__ = [
     "check_lemma26",
     "conjecture13_valuation",
     "cor1_valuation",
-    "decompose",
     "decompose_p",
     "digit_sum",
     "explore_conjecture13",
     "full_valuation_3",
+    "full_valuation_p",
     "h_valuation",
     "harmonic_sym",
     "komatsu_young_valuation",
@@ -106,7 +102,6 @@ __all__ = [
     "max_valuation_bound",
     "stirling1",
     "stirling1_row",
-    "stirling1_row_uncached",
     "stirling1_shifted",
     "stirling1_shifted_row",
     "sweep",

@@ -8,19 +8,16 @@ rationals, and elementary symmetric functions of 1, 1/2, ..., 1/n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import DomainError, RowTooLargeError
 
 __all__ = [
     "ROW_CAP",
     "BERNOULLI_CAP",
-    "StirlingRow",
     "stirling1_row",
-    "stirling1_row_uncached",
     "stirling1",
     "stirling1_shifted_row",
     "stirling1_shifted",
@@ -34,27 +31,6 @@ ROW_CAP = 5000
 
 #: Default cap on Bernoulli indices.
 BERNOULLI_CAP = 2000
-
-
-@dataclass(frozen=True)
-class StirlingRow:
-    """The full vector s(n, 0..n) of unsigned Stirling cycle numbers.
-
-    entries[k] is the coefficient of x**k in x(x+1)...(x+n-1), equivalently
-    the number of permutations of n elements with k cycles.
-    """
-
-    n: int
-    entries: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        return self.entries[k]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
 
 
 def _expand_rising(n: int, shift: int) -> list[int]:
@@ -78,23 +54,18 @@ def _check_row_cap(n: int, cap: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def _cached_row(n: int) -> StirlingRow:
-    return StirlingRow(n, tuple(_expand_rising(n, 0)))
+def _cached_row(n: int) -> tuple[int, ...]:
+    return tuple(_expand_rising(n, 0))
 
 
-def stirling1_row(n: int, *, cap: int = ROW_CAP) -> StirlingRow:
-    """Full unsigned row s(n, 0..n); cached per n."""
-    _check_row_cap(n, cap)
-    return _cached_row(n)
+def stirling1_row(n: int, *, cap: int = ROW_CAP) -> tuple[int, ...]:
+    """Full unsigned row s(n, 0..n); cached per n.
 
-
-def stirling1_row_uncached(n: int, *, cap: int = ROW_CAP) -> StirlingRow:
-    """Like :func:`stirling1_row` but always recomputed from scratch.
-
-    Exists so timing comparisons measure real work rather than cache hits.
+    Entry k is the coefficient of x**k in x(x+1)...(x+n-1), equivalently
+    the number of permutations of n elements with k cycles.
     """
     _check_row_cap(n, cap)
-    return StirlingRow(n, tuple(_expand_rising(n, 0)))
+    return _cached_row(n)
 
 
 def stirling1(n: int, k: int, *, cap: int = ROW_CAP) -> int:
@@ -140,6 +111,7 @@ def binomial(n: int, k: int) -> int:
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
+_bernoulli_lock = threading.Lock()
 
 
 def bernoulli(n: int, *, cap: int = BERNOULLI_CAP) -> Fraction:
@@ -151,10 +123,13 @@ def bernoulli(n: int, *, cap: int = BERNOULLI_CAP) -> Fraction:
         raise DomainError(f"bernoulli requires n >= 0, got {n}")
     if n > cap:
         raise RowTooLargeError(f"row too large: Bernoulli index {n} exceeds cap {cap}")
-    while len(_bernoulli_cache) <= n:
-        j = len(_bernoulli_cache)
-        acc = sum(math.comb(j + 1, i) * _bernoulli_cache[i] for i in range(j))
-        _bernoulli_cache.append(Fraction(-acc, j + 1))
+    if n >= len(_bernoulli_cache):
+        # each entry depends on all before it, so one thread extends at a time
+        with _bernoulli_lock:
+            while len(_bernoulli_cache) <= n:
+                j = len(_bernoulli_cache)
+                acc = sum(math.comb(j + 1, i) * _bernoulli_cache[i] for i in range(j))
+                _bernoulli_cache.append(Fraction(-acc, j + 1))
     return _bernoulli_cache[n]
 
 

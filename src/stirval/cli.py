@@ -17,21 +17,17 @@ import tempfile
 import time
 
 from .bigmath import (
+    ROW_CAP,
+    _cached_row,
+    _check_row_cap,
     harmonic_sym,
     stirling1,
     stirling1_row,
-    stirling1_row_uncached,
     stirling1_shifted,
 )
 from .errors import DomainError, RowTooLargeError, StirvalError, UsageError
-from .oracles import (
-    conjecture13_valuation,
-    decompose,
-    decompose_p,
-    full_valuation_3,
-    h_valuation,
-)
-from .padic import Prime, Valuation, as_prime, vp_factorial, vp_int
+from .oracles import _P3, decompose_p, full_valuation_3, full_valuation_p, h_valuation
+from .padic import as_prime, vp_int
 from .verify import SUITES, VerificationReport, sweep
 
 EXIT_OK = 0
@@ -103,40 +99,13 @@ def _cmd_stirling(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _formula_valuation(p: Prime, a: int, n: int, t: int) -> Valuation:
-    """Closed-form v_p(s(a*p^n, t)), or DomainError when none is implemented."""
-    if p.p == 3:
-        return full_valuation_3(a, n, t)
-    if not 1 <= a <= p.p - 1:
-        raise DomainError(f"a must satisfy 1 <= a <= p-1 = {p.p - 1}, got {a}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    top = a * p.p**n
-    if not 1 <= t <= top:
-        raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {t}")
-    if t == top:
-        return Valuation(0)
-    if t == top - 1:
-        # v_p(C(N, 2)) for N = a*p^n: n for odd p, n-1 for p = 2
-        return Valuation(n - 1 if p.p == 2 else n)
-    if t == 1:
-        return vp_factorial(p, top - 1)
-    try:
-        return conjecture13_valuation(decompose_p(p, a, n, t))
-    except DomainError:
-        raise DomainError(
-            f"no closed form implemented for p={p}, a={a}, n={n}, t={t}; "
-            "use --method exact"
-        ) from None
-
-
 def _cmd_val(args) -> int:
     p = as_prime(args.p)
     out: dict = {"p": p.p, "a": args.a, "n": args.n, "t": args.t, "method": args.method}
     status = EXIT_OK
     formula = exact = None
     if args.method in ("formula", "both"):
-        formula = _formula_valuation(p, args.a, args.n, args.t)
+        formula = full_valuation_p(p, args.a, args.n, args.t)
         out["formula"] = str(formula)
     if args.method in ("exact", "both"):
         top = args.a * p.p**args.n
@@ -175,7 +144,7 @@ def _table_rows(a: int, n: int) -> list[dict]:
     out = []
     for t in range(1, top + 1):
         if t <= top - 2:
-            q = decompose(a, n, t)
+            q = decompose_p(_P3, a, n, t)
             m, k = q.m, q.k
         else:
             # boundary indices above the tiled domain; report the natural
@@ -319,6 +288,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     top = args.a * 3**args.n
+    _check_row_cap(top, ROW_CAP)
     # warm anything the formula path caches (none today, but keep it honest)
     full_valuation_3(args.a, args.n, 1)
 
@@ -333,7 +303,7 @@ def _cmd_bench(args) -> int:
     exact_best = None
     for _ in range(args.reps):
         start = time.perf_counter_ns()
-        row = stirling1_row_uncached(top)
+        row = _cached_row.__wrapped__(top)  # a fresh build, not a cache hit
         vp_int(3, row[top // 2])
         elapsed = float(time.perf_counter_ns() - start)
         exact_best = elapsed if exact_best is None else min(exact_best, elapsed)

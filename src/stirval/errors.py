@@ -18,3 +18,10 @@ class UsageError(StirvalError, ValueError):
 
 class RowTooLargeError(StirvalError):
     """A row (or Bernoulli prefix) was requested beyond the configured cap."""
+
+
+class InvariantError(StirvalError):
+    """Two computations that must agree did not (an internal check failed).
+
+    Raised explicitly rather than asserted, so the check survives ``python -O``.
+    """

@@ -12,18 +12,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bigmath import bernoulli
-from .errors import DomainError, UsageError
+from .errors import DomainError, InvariantError, UsageError
 from .padic import Prime, Valuation, as_prime, vp_factorial, vp_int, vp_rational
 
 __all__ = [
-    "Query3",
     "QueryP",
     "BoundKind",
     "OracleResult",
     "thm1_valuation",
     "cor1_valuation",
-    "decompose",
     "decompose_p",
+    "full_valuation_p",
     "full_valuation_3",
     "lengyel_special",
     "komatsu_young_valuation",
@@ -41,46 +40,12 @@ def _v3(x: int) -> int:
     return vp_int(_P3, x).value
 
 
-@dataclass(frozen=True)
-class Query3:
-    """Parameters (a, n, m, k) addressing v_3(s(a*3^n, a*3^m - k)).
-
-    The admissible set: a in {1, 2}, 1 <= m <= n, and
-    2 <= k <= 2a*3^(m-1)+1 with a*3^m - k >= 1 (the target index must
-    stay positive; this trims k = 3 out of the a = 1, m = 1 cell).
-    """
-
-    a: int
-    n: int
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if self.a not in (1, 2):
-            raise DomainError(f"a must be 1 or 2, got {self.a}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.m <= self.n:
-            raise DomainError(f"m must satisfy 1 <= m <= n, got m={self.m}, n={self.n}")
-        cap = 2 * self.a * 3 ** (self.m - 1) + 1
-        if not 2 <= self.k <= cap:
-            raise DomainError(
-                f"k must satisfy 2 <= k <= 2a*3^(m-1)+1 = {cap}, got k={self.k}"
-            )
-        if self.a * 3**self.m - self.k < 1:
-            raise DomainError(
-                f"a*3^m - k must be >= 1, got {self.a * 3 ** self.m - self.k}"
-            )
-
-    @property
-    def t(self) -> int:
-        """The addressed index t = a*3^m - k."""
-        return self.a * 3**self.m - self.k
-
-    @property
-    def epsilon_k(self) -> int:
-        """Parity indicator: 0 for even k, 1 for odd k."""
-        return self.k & 1
+def _check_an(p: int, a: int, n: int) -> None:
+    """The (a, n) domain of every s(a*p^n, .) oracle: 1 <= a <= p-1, n >= 1."""
+    if not 1 <= a <= p - 1:
+        raise DomainError(f"a must satisfy 1 <= a <= p-1 = {p - 1}, got {a}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +53,9 @@ class QueryP:
     """Parameters (p, a, n, m, k) addressing v_p(s(a*p^n, a*p^m - k)).
 
     Domain: 1 <= a <= p-1, 1 <= m <= n, 2 <= k <= a(p-1)p^(m-1)+1,
-    and a*p^m - k >= 1.
+    and a*p^m - k >= 1 (the target index must stay positive; at p = 3 this
+    trims k = 3 out of the a = 1, m = 1 cell).  At p = 3 the k range is
+    Theorem 1's 2 <= k <= 2a*3^(m-1)+1.
     """
 
     p: Prime
@@ -98,12 +65,10 @@ class QueryP:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", as_prime(self.p))
+        if not isinstance(self.p, Prime):
+            object.__setattr__(self, "p", Prime(self.p))
         p = self.p.p
-        if not 1 <= self.a <= p - 1:
-            raise DomainError(f"a must satisfy 1 <= a <= p-1 = {p - 1}, got {self.a}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        _check_an(p, self.a, self.n)
         if not 1 <= self.m <= self.n:
             raise DomainError(f"m must satisfy 1 <= m <= n, got m={self.m}, n={self.n}")
         cap = self.a * (p - 1) * p ** (self.m - 1) + 1
@@ -118,10 +83,12 @@ class QueryP:
 
     @property
     def t(self) -> int:
+        """The addressed index t = a*p^m - k."""
         return self.a * self.p.p**self.m - self.k
 
     @property
     def epsilon_k(self) -> int:
+        """Parity indicator: 0 for even k, 1 for odd k."""
         return self.k & 1
 
     @property
@@ -148,11 +115,14 @@ class OracleResult:
         return f"{prefix}{self.value}"
 
 
-def thm1_valuation(q: Query3) -> Valuation:
+def thm1_valuation(q: QueryP) -> Valuation:
     """Closed form for v_3(s(a*3^n, a*3^m - k)) on the tiled (m, k) domain."""
+    if q.p.p != 3:
+        raise DomainError(f"Theorem 1 is the p = 3 form, got p={q.p}")
     a, n, m, k = q.a, q.n, q.m, q.k
     spread = a * (3**n - 3**m)
-    assert spread % 2 == 0
+    if spread % 2:
+        raise InvariantError(f"a*(3^n - 3^m) = {spread} is odd")
     val = (
         spread // 2
         - (n - m) * (a * 3**m - k)
@@ -166,48 +136,30 @@ def thm1_valuation(q: Query3) -> Valuation:
 
 def cor1_valuation(a: int, n: int, k: int) -> Valuation:
     """The m = n specialization: v_3(s(a*3^n, a*3^n - k)) by parity of k."""
-    q = Query3(a, n, n, k)  # validates the domain
+    QueryP(_P3, a, n, n, k)  # validates the domain
     if k % 2 == 0:
         return Valuation(n - 1 - _v3(k))
     return Valuation(2 * n - 1 + _v3(k) - _v3(k - 1))
 
 
-def decompose(a: int, n: int, t: int) -> Query3:
-    """Write t = a*3^m - k with (m, k) in the admissible set.
-
-    m is the unique integer with a*3^(m-1) - 1 <= t <= a*3^m - 2; the
-    resulting cells tile [1, a*3^n - 2] exactly once each.
-    """
-    if a not in (1, 2):
-        raise DomainError(f"a must be 1 or 2, got {a}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not 1 <= t <= a * 3**n - 2:
-        raise DomainError(f"t must satisfy 1 <= t <= a*3^n - 2 = {a * 3 ** n - 2}, got {t}")
-    m = 1
-    while a * 3**m - 2 < t:
-        m += 1
-    return Query3(a, n, m, a * 3**m - t)
-
-
 def decompose_p(p: int | Prime, a: int, n: int, t: int) -> QueryP:
-    """General-p analogue of :func:`decompose` targeting the conjectural form.
+    """Write t = a*p^m - k with (m, k) in the admissible set.
 
-    Raises DomainError when no cell covers t (possible only for a >= 4,
-    t in [2, a-2], and for the empty p = 2 bottom cell).
+    m is the unique integer with a*p^(m-1) - 1 <= t <= a*p^m - 2.  At p = 3
+    the cells tile [1, a*3^n - 2] exactly once each; for other p, raises
+    DomainError when no cell covers t (possible only for a >= 4, t in
+    [2, a-2], and for the empty p = 2 bottom cell).
     """
     prime = as_prime(p)
     q = prime.p
-    if not 1 <= a <= q - 1:
-        raise DomainError(f"a must satisfy 1 <= a <= p-1 = {q - 1}, got {a}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_an(q, a, n)
     if not 1 <= t <= a * q**n - 2:
         raise DomainError(f"t must satisfy 1 <= t <= a*p^n - 2 = {a * q ** n - 2}, got {t}")
-    m = 1
-    while a * q**m - 2 < t:
+    m, cell_top = 1, a * q  # cell_top = a*p^m
+    while cell_top - 2 < t:
         m += 1
-    k = a * q**m - t
+        cell_top *= q
+    k = cell_top - t
     if k > a * (q - 1) * q ** (m - 1) + 1:
         raise DomainError(
             f"t={t} is below the bottom cell of the closed-form domain for p={q}, a={a}"
@@ -215,24 +167,42 @@ def decompose_p(p: int | Prime, a: int, n: int, t: int) -> QueryP:
     return QueryP(prime, a, n, m, k)
 
 
-def full_valuation_3(a: int, n: int, t: int) -> Valuation:
-    """Exact v_3(s(a*3^n, t)) for every t in [1, a*3^n], via the closed forms.
+def full_valuation_p(p: int | Prime, a: int, n: int, t: int) -> Valuation:
+    """Closed-form v_p(s(a*p^n, t)) for t in [1, a*p^n].
 
     The top two indices are boundary values (s(N, N) = 1 and
-    s(N, N-1) = C(N, 2)); everything below decomposes into the tiled domain.
+    s(N, N-1) = C(N, 2)).  At p = 3 every lower index decomposes into
+    Theorem 1's tiled domain, so the answer is proven and exact.  For other
+    p, t = 1 is v_p((N-1)!) and the rest is the conjectural form; raises
+    DomainError where no closed form is implemented.
     """
-    if a not in (1, 2):
-        raise DomainError(f"a must be 1 or 2, got {a}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    top = a * 3**n
+    prime = as_prime(p)
+    q = prime.p
+    _check_an(q, a, n)
+    top = a * q**n
     if not 1 <= t <= top:
-        raise DomainError(f"t must satisfy 1 <= t <= a*3^n = {top}, got {t}")
+        raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {t}")
     if t == top:
         return Valuation(0)
     if t == top - 1:
-        return Valuation(n)
-    return thm1_valuation(decompose(a, n, t))
+        # v_p(C(N, 2)) for N = a*p^n: n for odd p, n-1 for p = 2
+        return Valuation(n - 1 if q == 2 else n)
+    if q == 3:
+        return thm1_valuation(decompose_p(prime, a, n, t))
+    if t == 1:
+        return vp_factorial(prime, top - 1)
+    try:
+        return conjecture13_valuation(decompose_p(prime, a, n, t))
+    except DomainError:
+        raise DomainError(
+            f"no closed form implemented for p={q}, a={a}, n={n}, t={t}; "
+            "use --method exact"
+        ) from None
+
+
+def full_valuation_3(a: int, n: int, t: int) -> Valuation:
+    """Exact v_3(s(a*3^n, t)) for every t in [1, a*3^n]; see :func:`full_valuation_p`."""
+    return full_valuation_p(_P3, a, n, t)
 
 
 def lengyel_special(variant: str, n: int) -> Valuation:
@@ -285,7 +255,8 @@ def conjecture13_valuation(q: QueryP) -> Valuation:
             val += m - 1
         return Valuation(val)
     spread = a * (p**n - p**m)
-    assert spread % (p - 1) == 0
+    if spread % (p - 1):
+        raise InvariantError(f"a*(p^n - p^m) = {spread} is not divisible by p-1 = {p - 1}")
     val = spread // (p - 1) - (n - m) * (a * p**m - k) + m + (m + vp_int(p, k).value) * eps
     if (k - eps) % (p - 1) == 0:
         val += -1 - vp_int(p, k // 2).value
@@ -297,10 +268,7 @@ def conjecture13_valuation(q: QueryP) -> Valuation:
 
 def thm2_shift_valuation(a: int, n: int, k: int) -> OracleResult:
     """v_3(s(a*3^n + 1, k + 1)): exact when k = a (mod 2), else a lower bound."""
-    if a not in (1, 2):
-        raise DomainError(f"a must be 1 or 2, got {a}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_an(3, a, n)
     if not 1 <= k <= a * 3**n:
         raise DomainError(f"k must satisfy 1 <= k <= a*3^n = {a * 3 ** n}, got {k}")
     if (k - a) % 2 == 0:
@@ -310,10 +278,7 @@ def thm2_shift_valuation(a: int, n: int, k: int) -> OracleResult:
 
 def max_valuation_bound(a: int, n: int) -> OracleResult:
     """Sharp upper bound for v_3(s(a*3^n, t)) over all t in [1, a*3^n]."""
-    if a not in (1, 2):
-        raise DomainError(f"a must be 1 or 2, got {a}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_an(3, a, n)
     if a == 1:
         if n == 1:
             bound = 1
@@ -342,8 +307,8 @@ def h_valuation(p: int | Prime, n: int, k: int) -> Valuation:
 
     Always computed exactly from the rational value.  When p = 3,
     n = a*3^N and k = a (mod 2) with k >= 1, the closed-form chain
-    v_3(s(n+1, k+1)) - v_3(n!) must give the same answer; the agreement is
-    asserted rather than trusted.
+    v_3(s(n+1, k+1)) - v_3(n!) must give the same answer; a disagreement
+    raises InvariantError rather than being trusted away.
     """
     from .bigmath import harmonic_sym
 
@@ -359,5 +324,8 @@ def h_valuation(p: int | Prime, n: int, k: int) -> Valuation:
             a, big_n = form
             if (k - a) % 2 == 0:
                 chain = full_valuation_3(a, big_n, k) - vp_factorial(prime, n)
-                assert chain == exact, (n, k, str(chain), str(exact))
+                if chain != exact:
+                    raise InvariantError(
+                        f"v_3(H({n}, {k})): closed-form chain gives {chain}, exact is {exact}"
+                    )
     return exact

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 __all__ = [
     "Valuation",
@@ -188,5 +188,6 @@ def vp_factorial(p: int | Prime, n: int) -> Valuation:
     if n < 0:
         raise DomainError(f"vp_factorial requires n >= 0, got {n}")
     num = n - digit_sum(q, n)
-    assert num % (q - 1) == 0
+    if num % (q - 1):
+        raise InvariantError(f"n - digit_sum(p, n) = {num} is not divisible by p-1 = {q - 1}")
     return Valuation(num // (q - 1))

@@ -24,12 +24,13 @@ from .bigmath import (
 )
 from .errors import DomainError, UsageError
 from .oracles import (
+    _P3,
     BoundKind,
     QueryP,
+    _check_an,
     conjecture13_valuation,
     cor1_valuation,
-    decompose,
-    full_valuation_3,
+    decompose_p,
     max_valuation_bound,
     thm1_valuation,
     thm2_shift_valuation,
@@ -226,8 +227,7 @@ def check_lemma22(a: int, n: int, t: int) -> CheckRecord:
 
     v_3(s(N, N-2t-1)) == v_3(s(N, N-2t)) + v_3(2t+1) + n for N = a*3^n.
     """
-    if a not in (1, 2) or n < 1:
-        raise DomainError(f"need a in {{1,2}} and n >= 1, got a={a}, n={n}")
+    _check_an(3, a, n)
     top = a * 3**n
     if not 0 <= t <= (top - 2) // 2:
         raise DomainError(f"need 0 <= t <= (a*3^n - 2)/2 = {(top - 2) // 2}, got {t}")
@@ -244,8 +244,9 @@ def check_lemma26(a: int, n: int, t: int) -> CheckRecord:
     least two extra powers of 3; otherwise the shifted valuation is bounded
     below by v_3(s(a*3^n, t+1)) + n.
     """
-    if a not in (1, 2) or not 1 <= n <= 4:
-        raise DomainError(f"need a in {{1,2}} and 1 <= n <= 4, got a={a}, n={n}")
+    _check_an(3, a, n)
+    if n > 4:
+        raise DomainError(f"need n <= 4, got n={n}")
     top = a * 3**n
     if not 1 <= t <= top:
         raise DomainError(f"need 1 <= t <= a*3^n = {top}, got {t}")
@@ -291,7 +292,7 @@ def _sweep_thm1(limits: dict) -> list[CheckRecord]:
     for a, n in _an_grid(limits, 6):
         row = stirling1_row(a * 3**n)
         for t in range(1, a * 3**n - 1):
-            q = decompose(a, n, t)
+            q = decompose_p(_P3, a, n, t)
             records.append(
                 _record(
                     "thm1",
@@ -440,8 +441,7 @@ def _sweep_conjecture13(limits: dict) -> list[CheckRecord]:
         while a * p.p ** (n_top + 1) <= 650:
             n_top += 1
         n_values = list(range(1, n_top + 1))
-    if not 1 <= a <= p.p - 1:
-        raise DomainError(f"a must satisfy 1 <= a <= p-1 = {p.p - 1}, got {a}")
+    _check_an(p.p, a, 1)  # a only: an empty or n = 0 grid gives an empty report
     guard = max(n_values, default=0)
     if n_values and a * p.p**guard > EXPLORE_ROW_GUARD:
         raise DomainError(
@@ -485,10 +485,7 @@ def explore_conjecture13(p: int | Prime, a: int, n_max: int) -> VerificationRepo
     Mismatches are deviations (reported, counted separately), not bugs.
     """
     prime = as_prime(p)
-    if not 1 <= a <= prime.p - 1:
-        raise DomainError(f"a must satisfy 1 <= a <= p-1 = {prime.p - 1}, got {a}")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _check_an(prime.p, a, n_max)
     if a * prime.p**n_max > EXPLORE_ROW_GUARD:
         raise DomainError(
             f"a*p^n_max = {a * prime.p ** n_max} exceeds the exact-row guard "

@@ -9,7 +9,6 @@ import time
 
 from stirval import (
     QueryP,
-    Query3,
     conjecture13_valuation,
     cor1_valuation,
     explore_conjecture13,
@@ -19,12 +18,12 @@ from stirval import (
     lengyel_special,
     max_valuation_bound,
     stirling1_row,
-    stirling1_row_uncached,
     sweep,
     thm1_valuation,
     thm2_shift_valuation,
     vp_int,
 )
+from stirval.bigmath import _cached_row
 from stirval.oracles import BoundKind
 
 
@@ -158,9 +157,8 @@ def test_ac7_conjectural_form_cross_checks():
             for m in range(1, n + 1):
                 k_top = min(2 * a * 3 ** (m - 1) + 1, a * 3**m - 1)
                 for k in range(2, k_top + 1):
-                    if conjecture13_valuation(QueryP(3, a, n, m, k)) != thm1_valuation(
-                        Query3(a, n, m, k)
-                    ):
+                    q = QueryP(3, a, n, m, k)
+                    if conjecture13_valuation(q) != thm1_valuation(q):
                         bad.append(f"p3(a={a},n={n},m={m},k={k})")
     # p = 2: zero deviations for a = 1, n <= 5
     rep = explore_conjecture13(2, 1, 5)
@@ -201,7 +199,7 @@ def test_ac9_oracle_speed_floor_informational():
     formula_per_query = (time.perf_counter_ns() - start) / top
 
     start = time.perf_counter_ns()
-    row = stirling1_row_uncached(top)
+    row = _cached_row.__wrapped__(top)  # a fresh build, not a cache hit
     vp_int(3, row[top // 2])
     exact_per_query = float(time.perf_counter_ns() - start)
 

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stirval import bigmath
 from stirval import (
     DomainError,
     RowTooLargeError,
@@ -13,7 +16,6 @@ from stirval import (
     harmonic_sym,
     stirling1,
     stirling1_row,
-    stirling1_row_uncached,
     stirling1_shifted,
     stirling1_shifted_row,
 )
@@ -68,11 +70,11 @@ def test_row_cap():
     with pytest.raises(RowTooLargeError, match="row too large"):
         stirling1_row(5001)
     with pytest.raises(RowTooLargeError, match="row too large"):
-        stirling1_row_uncached(11, cap=10)
+        stirling1_row(11, cap=10)
     with pytest.raises(RowTooLargeError):
         stirling1(6000, 3)
     # a raised cap is honored
-    assert stirling1_row_uncached(12, cap=12).n == 12
+    assert len(stirling1_row(12, cap=12)) - 1 == 12
 
 
 def test_bernoulli_values():
@@ -82,6 +84,31 @@ def test_bernoulli_values():
     assert bernoulli(5) == 0
     assert bernoulli(10) == Fraction(5, 66)
     assert bernoulli(12) == Fraction(-691, 2730)
+
+
+def test_bernoulli_threads_share_the_cache():
+    """Threads that extend the Bernoulli cache at once must not corrupt it."""
+    expected = [bernoulli(j) for j in range(201)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
+    try:
+        for _ in range(2):
+            del bigmath._bernoulli_cache[1:]
+            results = []
+            threads = [
+                threading.Thread(target=lambda: results.append(bernoulli(200)))
+                for _ in range(4)
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert results == [expected[200]] * 4
+            assert bigmath._bernoulli_cache == expected
+    finally:
+        sys.setswitchinterval(interval)
+        del bigmath._bernoulli_cache[1:]
 
 
 def test_bernoulli_odd_indices_vanish():
@@ -133,12 +160,12 @@ def test_generating_identity(n, x):
 
 def test_row_sums_are_factorials():
     for n in list(range(0, 130)) + [200, 350, 500]:
-        assert sum(stirling1_row_uncached(n)) == math.factorial(n)
+        assert sum(stirling1_row(n)) == math.factorial(n)
 
 
 def test_shifted_reduces_to_plain():
     for n in range(1, 51):
-        assert stirling1_shifted_row(0, n) == stirling1_row(n).entries
+        assert stirling1_shifted_row(0, n) == stirling1_row(n)
 
 
 @settings(max_examples=40)

@@ -78,7 +78,7 @@ def test_val_unimplemented_formula_suggests_exact(capsys):
 
 
 def test_val_mismatch_statuses(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_formula_valuation", lambda *a: Valuation(99))
+    monkeypatch.setattr(cli, "full_valuation_p", lambda *a: Valuation(99))
     code, out, _ = run_cli(capsys, "val", "--p", "3", "--a", "1", "--n", "1", "--t", "1")
     assert code == 2 and "match=false" in out  # proven form: a bug
     code, out, _ = run_cli(capsys, "val", "--p", "5", "--a", "1", "--n", "1", "--t", "2")
@@ -206,6 +206,11 @@ def test_bench_smoke(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["formula_ns_per_query"] > 0 and doc["exact_ns_per_query"] > 0
+
+
+def test_bench_row_cap(capsys):
+    code, _, err = run_cli(capsys, "bench", "--a", "1", "--n", "8")
+    assert code == 1 and "row too large" in err
 
 
 def test_no_arguments_is_usage_error(capsys):

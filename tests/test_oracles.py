@@ -1,15 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from stirval import (
     INFINITE,
     BoundKind,
     DomainError,
-    Query3,
     QueryP,
     UsageError,
     conjecture13_valuation,
     cor1_valuation,
-    decompose,
     decompose_p,
     full_valuation_3,
     h_valuation,
@@ -25,23 +28,23 @@ from stirval import (
 
 
 def test_thm1_examples():
-    assert thm1_valuation(Query3(1, 2, 2, 3)) == 4
-    assert thm1_valuation(Query3(2, 1, 1, 3)) == 2
-    assert thm1_valuation(Query3(1, 2, 1, 2)) == 2  # = v_3(8!) = v_3(40320)
+    assert thm1_valuation(QueryP(3, 1, 2, 2, 3)) == 4
+    assert thm1_valuation(QueryP(3, 2, 1, 1, 3)) == 2
+    assert thm1_valuation(QueryP(3, 1, 2, 1, 2)) == 2  # = v_3(8!) = v_3(40320)
 
 
 def test_query3_domain():
     with pytest.raises(DomainError, match="a must"):
-        Query3(3, 2, 1, 2)
+        QueryP(3, 3, 2, 1, 2)
     with pytest.raises(DomainError, match="m must"):
-        Query3(1, 2, 3, 2)
+        QueryP(3, 1, 2, 3, 2)
     with pytest.raises(DomainError, match="k must"):
-        Query3(1, 2, 2, 8)
+        QueryP(3, 1, 2, 2, 8)
     with pytest.raises(DomainError, match="k must"):
-        Query3(1, 2, 2, 1)
+        QueryP(3, 1, 2, 2, 1)
     # k = 3 at a = 1, m = 1 would address index 0
-    with pytest.raises(DomainError, match="a\\*3\\^m - k"):
-        Query3(1, 1, 1, 3)
+    with pytest.raises(DomainError, match="a\\*p\\^m - k"):
+        QueryP(3, 1, 1, 1, 3)
 
 
 def test_cor1_examples():
@@ -55,15 +58,15 @@ def test_cor1_matches_thm1_at_m_equal_n():
         for n in range(1, 6):
             k_top = min(2 * a * 3 ** (n - 1) + 1, a * 3**n - 1)
             for k in range(2, k_top + 1):
-                assert cor1_valuation(a, n, k) == thm1_valuation(Query3(a, n, n, k))
+                assert cor1_valuation(a, n, k) == thm1_valuation(QueryP(3, a, n, n, k))
 
 
 def test_decompose_examples():
-    q = decompose(1, 2, 1)
+    q = decompose_p(3, 1, 2, 1)
     assert (q.m, q.k) == (1, 2)
-    q = decompose(1, 2, 7)
+    q = decompose_p(3, 1, 2, 7)
     assert (q.m, q.k) == (2, 2)
-    q = decompose(2, 3, 5)
+    q = decompose_p(3, 2, 3, 5)
     assert (q.m, q.k) == (2, 13)
 
 
@@ -73,7 +76,7 @@ def test_decompose_roundtrip_and_tiling():
         for n in range(1, 5):
             seen = {}
             for t in range(1, a * 3**n - 1):
-                q = decompose(a, n, t)
+                q = decompose_p(3, a, n, t)
                 assert q.t == t
                 seen[t] = (q.m, q.k)
             # scanning the admissible set recovers each t exactly once
@@ -88,9 +91,9 @@ def test_decompose_roundtrip_and_tiling():
 
 def test_decompose_domain():
     with pytest.raises(DomainError):
-        decompose(1, 2, 0)
+        decompose_p(3, 1, 2, 0)
     with pytest.raises(DomainError):
-        decompose(1, 2, 8)  # 3^2 - 2 = 7 is the last tiled index
+        decompose_p(3, 1, 2, 8)  # 3^2 - 2 = 7 is the last tiled index
 
 
 def test_full_valuation_examples():
@@ -171,9 +174,8 @@ def test_conjecture13_matches_thm1_for_p3():
             for m in range(1, n + 1):
                 k_top = min(2 * a * 3 ** (m - 1) + 1, a * 3**m - 1)
                 for k in range(2, k_top + 1):
-                    assert conjecture13_valuation(QueryP(3, a, n, m, k)) == thm1_valuation(
-                        Query3(a, n, m, k)
-                    ), (a, n, m, k)
+                    q = QueryP(3, a, n, m, k)
+                    assert conjecture13_valuation(q) == thm1_valuation(q), (a, n, m, k)
 
 
 def test_conjecture13_p2_against_exact_rows():
@@ -252,6 +254,38 @@ def test_h_valuation_closed_chain_consistency():
             if (k - a) % 2 == 0:
                 val = h_valuation(3, n, k)
                 assert val == full_valuation_3(a, big_n, k) - vp_factorial(3, n)
+
+
+def test_invariant_checks_survive_python_O():
+    """Forced disagreements raise InvariantError even with asserts stripped."""
+    script = """
+import sys
+import stirval.oracles as oracles
+import stirval.padic as padic
+from stirval import InvariantError, Valuation
+
+caught = []
+oracles.full_valuation_3 = lambda a, n, t: Valuation(99)
+try:
+    oracles.h_valuation(3, 3, 1)
+except InvariantError:
+    caught.append("h_valuation")
+padic.digit_sum = lambda p, n: 0
+try:
+    padic.vp_factorial(3, 5)
+except InvariantError:
+    caught.append("vp_factorial")
+print(sys.flags.optimize, *caught)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "h_valuation", "vp_factorial"]
 
 
 def test_h_valuation_domain():
