@@ -1,8 +1,9 @@
 """Exact big-integer and big-rational combinatorial kernel.
 
 Everything here is computed exactly: Stirling cycle numbers as rising
-factorial coefficients, their shifted variant, binomials, Bernoulli
-rationals, and elementary symmetric functions of 1, 1/2, ..., 1/n.
+factorial coefficients, their shifted variant, the p-adic valuations of a
+whole row, binomials, Bernoulli rationals, and elementary symmetric
+functions of 1, 1/2, ..., 1/n.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, RowTooLargeError
+from .padic import INFINITE, Prime, Valuation, as_prime, vp_factorial, vp_int
 
 __all__ = [
     "ROW_CAP",
     "BERNOULLI_CAP",
     "stirling1_row",
     "stirling1",
+    "valuation_row",
     "stirling1_shifted_row",
     "stirling1_shifted",
     "binomial",
@@ -33,17 +36,29 @@ ROW_CAP = 5000
 BERNOULLI_CAP = 2000
 
 
-def _expand_rising(n: int, shift: int) -> list[int]:
-    """Coefficients of (x+shift)(x+shift+1)...(x+shift+n-1), length n+1."""
-    coeffs = [1]
+#: With a modulus, coefficients are reduced once per this many factors.  Each
+#: factor adds only ~log2(n) bits, while a reduction pass costs about as much
+#: as the multiply-adds of one factor: reducing after every factor made the
+#: n = 1458 row about twice as slow.
+_REDUCE_EVERY = 8
+
+
+def _expand_rising(n: int, shift: int, modulus: int = 0) -> list[int]:
+    """Coefficients of (x+shift)(x+shift+1)...(x+shift+n-1), length n+1.
+
+    Exact by default; with a modulus > 0 every coefficient is returned
+    reduced modulo it.
+    """
+    c = [1] + [0] * n
     for i in range(n):
-        c = shift + i
-        nxt = [0] * (len(coeffs) + 1)
-        for k, v in enumerate(coeffs):
-            nxt[k] += v * c
-            nxt[k + 1] += v
-        coeffs = nxt
-    return coeffs
+        f = shift + i
+        # multiply by (x + f) in place, high k first so c[k-1] is still old
+        for k in range(i + 1, 0, -1):
+            c[k] = c[k] * f + c[k - 1]
+        c[0] *= f
+        if modulus and (i % _REDUCE_EVERY == _REDUCE_EVERY - 1 or i == n - 1):
+            c = [v % modulus for v in c]
+    return c
 
 
 def _check_row_cap(n: int, cap: int) -> None:
@@ -75,6 +90,45 @@ def stirling1(n: int, k: int, *, cap: int = ROW_CAP) -> int:
     if k > n:
         return 0
     return stirling1_row(n, cap=cap)[k]
+
+
+def _initial_precision(p: int, n: int) -> int:
+    """The first precision P tried for row n >= 1: one above v_p(s(n, 1)).
+
+    s(n, 1) = (n-1)!, so P = v_p((n-1)!) + 1.  This is only a starting
+    guess for speed, taken from the factorial rather than from any oracle;
+    :func:`valuation_row` stays exact whatever it returns (>= 1).
+    """
+    return vp_factorial(p, n - 1).value + 1
+
+
+@lru_cache(maxsize=64)
+def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
+    if n == 0:
+        return (Valuation(0),)
+    precision = _initial_precision(p, n)
+    while True:
+        residues = _expand_rising(n, 0, p**precision)
+        # s(n, t) >= 1 for 1 <= t <= n, so a zero residue only means
+        # v_p(s(n, t)) >= precision: never read it, retry with more digits
+        if all(residues[1:]):
+            break
+        precision *= 2
+    return (INFINITE, *(vp_int(p, r) for r in residues[1:]))
+
+
+def valuation_row(p: int | Prime, n: int, *, cap: int = ROW_CAP) -> tuple[Valuation, ...]:
+    """The row v_p(s(n, 0..n)) of exact valuations; cached per (p, n).
+
+    The row is built modulo p**P, with P starting at v_p((n-1)!) + 1,
+    rather than exactly.  A nonzero residue has the valuation of the number
+    itself; a zero residue doubles P and rebuilds the row, so every entry
+    is exact, never a bound.  Entry 0 is infinite for n >= 1 (s(n, 0) = 0),
+    and the single entry of n = 0 is 0.
+    """
+    q = as_prime(p).p
+    _check_row_cap(n, cap)
+    return _cached_valuation_row(q, n)
 
 
 @lru_cache(maxsize=64)

@@ -22,8 +22,8 @@ from .bigmath import (
     _check_row_cap,
     harmonic_sym,
     stirling1,
-    stirling1_row,
     stirling1_shifted,
+    valuation_row,
 )
 from .errors import DomainError, RowTooLargeError, StirvalError, UsageError
 from .oracles import _P3, decompose_p, full_valuation_3, full_valuation_p, h_valuation
@@ -111,8 +111,7 @@ def _cmd_val(args) -> int:
         top = args.a * p.p**args.n
         if not 1 <= args.t <= top:
             raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {args.t}")
-        row = stirling1_row(top)
-        exact = vp_int(p, row[args.t])
+        exact = valuation_row(p, top)[args.t]
         out["exact"] = str(exact)
     if args.method == "both":
         match = formula == exact
@@ -140,7 +139,7 @@ _TABLE_HEADER = ["a", "n", "t", "m", "k", "epsilon_k", "v3_formula", "v3_exact",
 
 def _table_rows(a: int, n: int) -> list[dict]:
     top = a * 3**n
-    row = stirling1_row(top)
+    vals = valuation_row(3, top)
     out = []
     for t in range(1, top + 1):
         if t <= top - 2:
@@ -151,7 +150,7 @@ def _table_rows(a: int, n: int) -> list[dict]:
             # k = a*3^n - t (1 or 0) under m = n
             m, k = n, top - t
         formula = full_valuation_3(a, n, t)
-        exact = vp_int(3, row[t])
+        exact = vals[t]
         out.append(
             {
                 "a": a,

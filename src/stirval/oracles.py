@@ -65,8 +65,7 @@ class QueryP:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.p, Prime):
-            object.__setattr__(self, "p", Prime(self.p))
+        object.__setattr__(self, "p", as_prime(self.p))
         p = self.p.p
         _check_an(p, self.a, self.n)
         if not 1 <= self.m <= self.n:

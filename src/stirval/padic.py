@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .errors import DomainError, InvariantError
 
@@ -139,9 +139,23 @@ class Prime:
         return str(self.p)
 
 
+@lru_cache(maxsize=256)
+def _prime_of_int(p: int) -> Prime:
+    return Prime(p)
+
+
 def as_prime(p: int | Prime) -> Prime:
-    """Coerce an int to :class:`Prime`, validating primality."""
-    return p if isinstance(p, Prime) else Prime(p)
+    """Coerce an int to :class:`Prime`, validating primality.
+
+    A valid int is validated once and its :class:`Prime` reused; anything
+    else (a composite, p < 2, a non-int or a bool) raises on every call,
+    since a raising call leaves nothing in the cache.
+    """
+    if isinstance(p, Prime):
+        return p
+    if type(p) is int:
+        return _prime_of_int(p)
+    return Prime(p)
 
 
 def vp_int(p: int | Prime, n: int) -> Valuation:

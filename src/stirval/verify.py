@@ -3,9 +3,9 @@
 Each check produces a :class:`CheckRecord` whose ``expected`` field holds the
 claim made by the formula or identity under test and whose ``actual`` field
 holds the independently measured exact value.  A record passes when the two
-agree exactly (or, for one-sided claims written ``>=b``, when the measured
-value meets the bound).  Sweeps enumerate exhaustive parameter grids and
-return deterministic, sorted reports.
+agree exactly (or, for a lower-bound claim, serialized ``>=b``, when the
+measured value meets the bound).  Sweeps enumerate exhaustive parameter grids
+and return deterministic, sorted reports.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from .bigmath import (
     stirling1_row,
     stirling1_shifted,
     stirling1_shifted_row,
+    valuation_row,
 )
 from .errors import DomainError, UsageError
 from .oracles import (
     _P3,
     BoundKind,
+    OracleResult,
     QueryP,
     _check_an,
     conjecture13_valuation,
@@ -52,7 +54,7 @@ __all__ = [
     "SUITES",
 ]
 
-#: Guard on exact-row size used by the conjecture explorer.
+#: Guard on the size of the rows the conjecture explorer reads.
 EXPLORE_ROW_GUARD = 5000
 
 
@@ -138,13 +140,21 @@ class VerificationReport:
 
 
 def _record(check_id: str, params: dict[str, int], expected, actual) -> CheckRecord:
-    e, a = str(expected), str(actual)
-    if e.startswith(">="):
-        bound = int(e[2:])
-        ok = not a.startswith(">=") and (a == "inf" or int(a) >= bound)
+    """Compare a claim with the measured value, then serialize both.
+
+    ``expected`` is a value (int, Fraction, Valuation) that must equal
+    ``actual``, or an :class:`OracleResult`, exact or a one-sided bound
+    that ``actual`` must meet.
+    """
+    if not isinstance(expected, OracleResult):
+        ok = expected == actual
+    elif expected.kind is BoundKind.LOWER_BOUND:
+        ok = actual >= expected.value
+    elif expected.kind is BoundKind.UPPER_BOUND:
+        ok = actual <= expected.value
     else:
-        ok = e == a
-    return CheckRecord(check_id, params, e, a, ok)
+        ok = actual == expected.value
+    return CheckRecord(check_id, params, str(expected), str(actual), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +216,7 @@ def check_identity11(n: int, k: int) -> CheckRecord:
     if n < 1 or not 0 <= k <= n:
         raise DomainError(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
     claim = math.factorial(n) * harmonic_sym(n, k)
-    claim_str = str(claim.numerator) if claim.denominator == 1 else str(claim)
-    return _record("identity11", {"n": n, "k": k}, claim_str, stirling1(n + 1, k + 1))
+    return _record("identity11", {"n": n, "k": k}, claim, stirling1(n + 1, k + 1))
 
 
 def check_congruence(m: int, n: int, k: int) -> CheckRecord:
@@ -231,10 +240,9 @@ def check_lemma22(a: int, n: int, t: int) -> CheckRecord:
     top = a * 3**n
     if not 0 <= t <= (top - 2) // 2:
         raise DomainError(f"need 0 <= t <= (a*3^n - 2)/2 = {(top - 2) // 2}, got {t}")
-    row = stirling1_row(top)
-    rhs = vp_int(3, row[top - 2 * t]) + vp_int(3, 2 * t + 1) + n
-    lhs = vp_int(3, row[top - 2 * t - 1])
-    return _record("lemma22", {"a": a, "n": n, "t": t}, rhs, lhs)
+    vals = valuation_row(3, top)
+    rhs = vals[top - 2 * t] + vp_int(3, 2 * t + 1) + n
+    return _record("lemma22", {"a": a, "n": n, "t": t}, rhs, vals[top - 2 * t - 1])
 
 
 def check_lemma26(a: int, n: int, t: int) -> CheckRecord:
@@ -260,8 +268,8 @@ def check_lemma26(a: int, n: int, t: int) -> CheckRecord:
         actual = f"{v_shift};diff={v_diff}"
         ok = v_shift == v_plain and v_diff >= v_plain + 2
         return CheckRecord("lemma26", {"a": a, "n": n, "t": t}, expected, actual, ok)
-    bound = vp_int(3, row[t + 1]) + n
-    return _record("lemma26", {"a": a, "n": n, "t": t}, f">={bound}", v_shift)
+    bound = OracleResult(BoundKind.LOWER_BOUND, vp_int(3, row[t + 1]) + n)
+    return _record("lemma26", {"a": a, "n": n, "t": t}, bound, v_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +298,11 @@ def _an_grid(limits: dict, default_n_max: int) -> list[tuple[int, int]]:
 def _sweep_thm1(limits: dict) -> list[CheckRecord]:
     records = []
     for a, n in _an_grid(limits, 6):
-        row = stirling1_row(a * 3**n)
+        vals = valuation_row(3, a * 3**n)
         for t in range(1, a * 3**n - 1):
             q = decompose_p(_P3, a, n, t)
             records.append(
-                _record(
-                    "thm1",
-                    {"a": a, "n": n, "t": t},
-                    thm1_valuation(q),
-                    vp_int(3, row[t]),
-                )
+                _record("thm1", {"a": a, "n": n, "t": t}, thm1_valuation(q), vals[t])
             )
     return records
 
@@ -307,7 +310,7 @@ def _sweep_thm1(limits: dict) -> list[CheckRecord]:
 def _sweep_cor1(limits: dict) -> list[CheckRecord]:
     records = []
     for a, n in _an_grid(limits, 6):
-        row = stirling1_row(a * 3**n)
+        vals = valuation_row(3, a * 3**n)
         k_top = min(2 * a * 3 ** (n - 1) + 1, a * 3**n - 1)
         for k in range(2, k_top + 1):
             records.append(
@@ -315,7 +318,7 @@ def _sweep_cor1(limits: dict) -> list[CheckRecord]:
                     "cor1",
                     {"a": a, "n": n, "k": k},
                     cor1_valuation(a, n, k),
-                    vp_int(3, row[a * 3**n - k]),
+                    vals[a * 3**n - k],
                 )
             )
     return records
@@ -324,21 +327,17 @@ def _sweep_cor1(limits: dict) -> list[CheckRecord]:
 def _sweep_thm2(limits: dict) -> list[CheckRecord]:
     records = []
     for a, n in _an_grid(limits, 5):
-        row_up = stirling1_row(a * 3**n + 1)
+        vals_up = valuation_row(3, a * 3**n + 1)
         for k in range(1, a * 3**n + 1):
-            res = thm2_shift_valuation(a, n, k)
-            claim = str(res.value) if res.kind is BoundKind.EXACT else f">={res.value}"
-            records.append(
-                _record("thm2", {"a": a, "n": n, "k": k}, claim, vp_int(3, row_up[k + 1]))
-            )
+            claim = thm2_shift_valuation(a, n, k)
+            records.append(_record("thm2", {"a": a, "n": n, "k": k}, claim, vals_up[k + 1]))
     return records
 
 
 def _sweep_thm34(limits: dict) -> list[CheckRecord]:
     records = []
     for a, n in _an_grid(limits, 6):
-        row = stirling1_row(a * 3**n)
-        peak = max(vp_int(3, row[t]).value for t in range(1, a * 3**n + 1))
+        peak = max(valuation_row(3, a * 3**n)[1:]).value
         bound = max_valuation_bound(a, n)
         records.append(_record("thm34", {"a": a, "n": n}, bound.value, peak))
     return records
@@ -412,7 +411,7 @@ def _conjecture_records(p: Prime, a: int, n_values: list[int]) -> list[CheckReco
     q = p.p
     records = []
     for n in n_values:
-        row = stirling1_row(a * q**n)
+        vals = valuation_row(p, a * q**n)
         for m in range(1, n + 1):
             k_top = min(a * (q - 1) * q ** (m - 1) + 1, a * q**m - 1)
             for k in range(2, k_top + 1):
@@ -422,7 +421,7 @@ def _conjecture_records(p: Prime, a: int, n_values: list[int]) -> list[CheckReco
                         "conjecture13",
                         {"p": q, "a": a, "n": n, "m": m, "k": k},
                         conjecture13_valuation(query),
-                        vp_int(p, row[query.t]),
+                        vals[query.t],
                     )
                 )
     return records
@@ -441,7 +440,7 @@ def _sweep_conjecture13(limits: dict) -> list[CheckRecord]:
         while a * p.p ** (n_top + 1) <= 650:
             n_top += 1
         n_values = list(range(1, n_top + 1))
-    _check_an(p.p, a, 1)  # a only: an empty or n = 0 grid gives an empty report
+    _check_an(p.p, a, 1)  # a only: sweep refuses an empty or n = 0 grid (no checks)
     guard = max(n_values, default=0)
     if n_values and a * p.p**guard > EXPLORE_ROW_GUARD:
         raise DomainError(
@@ -469,6 +468,14 @@ _SWEEPS = {
 SUITES = tuple(_SWEEPS)
 
 
+def _nonempty_report(suite: str, records: list[CheckRecord], limits: dict) -> VerificationReport:
+    """The suite's report; a grid with no checks is refused, never passed."""
+    if not records:
+        grid = ", ".join(f"{k}={v}" for k, v in sorted(limits.items())) or "defaults"
+        raise UsageError(f"suite {suite!r} has no checks on the grid ({grid})")
+    return VerificationReport(suite, records)
+
+
 def sweep(suite: str, limits: dict | None = None) -> VerificationReport:
     """Run one suite exhaustively over its (possibly limited) grid."""
     if suite not in _SWEEPS:
@@ -476,7 +483,7 @@ def sweep(suite: str, limits: dict | None = None) -> VerificationReport:
     fn, allowed = _SWEEPS[suite]
     limits = dict(limits or {})
     _limit_keys(limits, allowed, suite)
-    return VerificationReport(suite, fn(limits))
+    return _nonempty_report(suite, fn(limits), limits)
 
 
 def explore_conjecture13(p: int | Prime, a: int, n_max: int) -> VerificationReport:
@@ -491,6 +498,5 @@ def explore_conjecture13(p: int | Prime, a: int, n_max: int) -> VerificationRepo
             f"a*p^n_max = {a * prime.p ** n_max} exceeds the exact-row guard "
             f"{EXPLORE_ROW_GUARD}"
         )
-    return VerificationReport(
-        "conjecture13", _conjecture_records(prime, a, list(range(1, n_max + 1)))
-    )
+    records = _conjecture_records(prime, a, list(range(1, n_max + 1)))
+    return _nonempty_report("conjecture13", records, {"p": prime.p, "a": a, "n_max": n_max})

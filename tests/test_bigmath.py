@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,10 @@ from hypothesis import strategies as st
 
 from stirval import bigmath
 from stirval import (
+    INFINITE,
     DomainError,
     RowTooLargeError,
+    Valuation,
     bernoulli,
     binomial,
     harmonic_sym,
@@ -18,6 +23,8 @@ from stirval import (
     stirling1_row,
     stirling1_shifted,
     stirling1_shifted_row,
+    valuation_row,
+    vp_int,
 )
 
 
@@ -194,3 +201,83 @@ def test_product_identity_small():
         fact = math.factorial(n)
         for k in range(n + 1):
             assert fact * harmonic_sym(n, k) == stirling1(n + 1, k + 1)
+
+
+def _exact_valuations(p, n):
+    return tuple(vp_int(p, v) for v in stirling1_row(n))
+
+
+# every a*3^n and a*3^n + 1 row with n <= 4, the shapes the 3-adic sweeps read
+_A3N_SIZES = sorted({a * 3**n + d for a in (1, 2) for n in range(1, 5) for d in (0, 1)})
+
+
+def test_valuation_row_matches_exact_rows():
+    for p in (2, 3, 5, 7):
+        for n in range(121):
+            assert valuation_row(p, n) == _exact_valuations(p, n), (p, n)
+    for n in _A3N_SIZES:
+        assert valuation_row(3, n) == _exact_valuations(3, n), n
+
+
+def test_valuation_row_edges_and_cap():
+    assert valuation_row(3, 0) == (Valuation(0),)
+    assert valuation_row(3, 1) == (INFINITE, Valuation(0))
+    assert valuation_row(bigmath.Prime(3), 9)[0] is INFINITE
+    assert valuation_row(3, 9)[6] == 4  # s(9, 6) = 4536 = 2^3 * 3^4 * 7
+    with pytest.raises(RowTooLargeError, match="row too large"):
+        valuation_row(3, 5001)
+    with pytest.raises(RowTooLargeError, match="row too large"):
+        valuation_row(3, 11, cap=10)
+    with pytest.raises(DomainError):
+        valuation_row(3, -1)
+    with pytest.raises(DomainError):
+        valuation_row(4, 5)
+
+
+_FORCED_DOUBLING = """
+import stirval.bigmath as bigmath
+from stirval import stirling1_row, valuation_row, vp_int
+
+expand, initial = bigmath._expand_rising, bigmath._initial_precision
+modular_builds = []
+
+
+def counting_expand(n, shift, modulus=0):
+    if modulus:
+        modular_builds.append(n)
+    return expand(n, shift, modulus)
+
+
+bigmath._expand_rising = counting_expand
+bigmath._initial_precision = lambda p, n: 1
+bigmath._cached_valuation_row.cache_clear()
+try:
+    sizes = [(p, n) for p in (2, 3, 5) for n in range(1, 40)] + [(3, 162), (3, 163)]
+    for p, n in sizes:
+        if valuation_row(p, n) != tuple(vp_int(p, v) for v in stirling1_row(n)):
+            raise SystemExit(f"valuation_row({p}, {n}) is not exact")
+    # at P = 1, s(n, 1) = (n-1)! leaves a zero residue once n > p, so rows rebuild
+    if modular_builds.count(163) < 2:
+        raise SystemExit(f"no doubling: {modular_builds.count(163)} build(s) of row 163")
+finally:
+    bigmath._expand_rising, bigmath._initial_precision = expand, initial
+    bigmath._cached_valuation_row.cache_clear()
+print("ok")
+"""
+
+
+def test_valuation_row_doubles_precision_until_exact():
+    """Starting at precision 1 forces the zero-residue path; answers stay exact."""
+    exec(compile(_FORCED_DOUBLING, "<forced-doubling>", "exec"), {})
+
+
+def test_valuation_row_doubling_survives_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_DOUBLING],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["ok"]

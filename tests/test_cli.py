@@ -223,3 +223,10 @@ def test_val_row_cap(capsys):
         capsys, "val", "--p", "3", "--a", "1", "--n", "9", "--t", "1", "--method", "exact"
     )
     assert code == 1 and "row too large" in err
+
+
+def test_verify_refuses_empty_grids(capsys):
+    for argv in (("verify", "thm1", "--n-max", "0"),
+                 ("verify", "conjecture13", "--p", "5", "--n", "0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "no checks" in err, argv

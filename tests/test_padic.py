@@ -9,6 +9,7 @@ from stirval import (
     DomainError,
     Prime,
     Valuation,
+    as_prime,
     digit_sum,
     vp_factorial,
     vp_int,
@@ -54,6 +55,18 @@ def test_prime_validation():
             Prime(composite)
     for p in (2, 3, 5, 97, 101):
         assert Prime(p).p == p
+
+
+def test_as_prime_reuses_valid_primes_and_rejects_bad_input_every_call():
+    assert as_prime(3) is as_prime(3)
+    assert as_prime(Prime(5)) == as_prime(5)
+    # 3.0 and True compare equal to cached ints (3, 1) but are still refused
+    for bad in (4, 91, 1, 0, -3, 3.0, "3", None, True, False):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                as_prime(bad)
+            with pytest.raises(DomainError):
+                vp_int(bad, 9)
 
 
 def _legendre(p: int, n: int) -> int:

@@ -1,11 +1,16 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from stirval import (
+    INFINITE,
+    BoundKind,
     CheckRecord,
     DomainError,
+    OracleResult,
     UsageError,
+    Valuation,
     VerificationReport,
     check_congruence,
     check_identity11,
@@ -17,6 +22,7 @@ from stirval import (
     explore_conjecture13,
     sweep,
 )
+from stirval.verify import _record
 
 
 def test_lemma21_examples():
@@ -130,6 +136,15 @@ def test_explore_conjecture13_examples():
     assert report.total == 3 and report.deviations == 0
 
 
+def test_empty_grids_are_refused():
+    for suite, limits in (("thm1", {"n_max": 0}), ("lemma22", {"a": 1, "n": 0}),
+                          ("conjecture13", {"p": 5, "n": 0}), ("lemma21", {"n_max": 1})):
+        with pytest.raises(UsageError, match="no checks"):
+            sweep(suite, limits)
+    with pytest.raises(UsageError, match="no checks"):
+        explore_conjecture13(2, 1, 1)  # the p = 2, m = 1 cell is empty
+
+
 def test_explore_guards():
     with pytest.raises(DomainError):
         explore_conjecture13(7, 1, 5)  # 7^5 is past the exact-row guard
@@ -186,3 +201,23 @@ def test_bound_records_pass_on_meeting_bound():
     report = sweep("thm2", {"a": 1, "n": 1})
     bounds = [r for r in report.records if r.expected.startswith(">=")]
     assert bounds and all(r.passed for r in bounds)
+
+
+def test_record_compares_typed_claims():
+    lower = OracleResult(BoundKind.LOWER_BOUND, Valuation(2))
+    rec = _record("x", {}, lower, INFINITE)
+    assert (rec.expected, rec.actual, rec.passed) == (">=2", "inf", True)
+    assert _record("x", {}, lower, Valuation(2)).passed
+    assert not _record("x", {}, lower, Valuation(1)).passed
+    upper = OracleResult(BoundKind.UPPER_BOUND, Valuation(2))
+    assert _record("x", {}, upper, Valuation(1)).passed
+    assert not _record("x", {}, upper, INFINITE).passed
+    exact = OracleResult(BoundKind.EXACT, Valuation(3))
+    rec = _record("x", {}, exact, Valuation(3))
+    assert (rec.expected, rec.actual, rec.passed) == ("3", "3", True)
+    assert not _record("x", {}, exact, Valuation(4)).passed
+    rec = _record("x", {}, Fraction(6), 6)
+    assert (rec.expected, rec.actual, rec.passed) == ("6", "6", True)
+    rec = _record("x", {}, Fraction(13, 2), 6)
+    assert (rec.expected, rec.passed) == ("13/2", False)
+    assert not _record("x", {}, Valuation(0), INFINITE).passed
