@@ -117,7 +117,7 @@ def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
     return (INFINITE, *(vp_int(p, r) for r in residues[1:]))
 
 
-def valuation_row(p: int | Prime, n: int, *, cap: int = ROW_CAP) -> tuple[Valuation, ...]:
+def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
     """The row v_p(s(n, 0..n)) of exact valuations; cached per (p, n).
 
     The row is built modulo p**P, with P starting at v_p((n-1)!) + 1,
@@ -127,7 +127,7 @@ def valuation_row(p: int | Prime, n: int, *, cap: int = ROW_CAP) -> tuple[Valuat
     and the single entry of n = 0 is 0.
     """
     q = as_prime(p).p
-    _check_row_cap(n, cap)
+    _check_row_cap(n, ROW_CAP)
     return _cached_valuation_row(q, n)
 
 

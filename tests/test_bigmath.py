@@ -226,8 +226,6 @@ def test_valuation_row_edges_and_cap():
     assert valuation_row(3, 9)[6] == 4  # s(9, 6) = 4536 = 2^3 * 3^4 * 7
     with pytest.raises(RowTooLargeError, match="row too large"):
         valuation_row(3, 5001)
-    with pytest.raises(RowTooLargeError, match="row too large"):
-        valuation_row(3, 11, cap=10)
     with pytest.raises(DomainError):
         valuation_row(3, -1)
     with pytest.raises(DomainError):
