@@ -187,16 +187,11 @@ def bernoulli(n: int, *, cap: int = BERNOULLI_CAP) -> Fraction:
     return _bernoulli_cache[n]
 
 
-@lru_cache(maxsize=8)
-def _harmonic_row(n: int) -> tuple[Fraction, ...]:
-    """Elementary symmetric functions e_k(1, 1/2, ..., 1/n) for k = 0..n."""
-    row = [Fraction(1)] + [Fraction(0)] * n
-    for j in range(1, n + 1):
-        inv = Fraction(1, j)
-        # e(j, k) = e(j-1, k) + (1/j) e(j-1, k-1); update in place, high k first
-        for k in range(j, 0, -1):
-            row[k] += inv * row[k - 1]
-    return tuple(row)
+#: The harmonic row at the cursor: e_k(1, 1/2, ..., 1/n) for k = 0..n, with
+#: n = len - 1.  A larger n steps it forward from there, a smaller one
+#: rebuilds it from n = 0; only this one row is held.
+_harmonic_row: list[Fraction] = [Fraction(1)]
+_harmonic_lock = threading.Lock()
 
 
 def harmonic_sym(n: int, k: int) -> Fraction:
@@ -208,4 +203,15 @@ def harmonic_sym(n: int, k: int) -> Fraction:
         raise DomainError(f"harmonic_sym requires n >= 1, got {n}")
     if not 0 <= k <= n:
         raise DomainError(f"harmonic_sym needs 0 <= k <= n, got k={k}, n={n}")
-    return _harmonic_row(n)[k]
+    _check_row_cap(n, ROW_CAP)
+    row = _harmonic_row
+    # the row is moved in place, so one thread moves and reads it at a time
+    with _harmonic_lock:
+        if n < len(row) - 1:
+            del row[1:]
+        for j in range(len(row), n + 1):
+            inv = Fraction(1, j)
+            # e(j, k) = e(j-1, k) + (1/j) e(j-1, k-1); the new entries are all
+            # computed before the slice assignment, so the row is never torn
+            row[1:] = [row[i] + inv * row[i - 1] for i in range(1, j)] + [inv * row[j - 1]]
+        return row[k]

@@ -249,7 +249,8 @@ def _report_text(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
         return report.to_json()
     if fmt == "csv":
-        return _csv_text(report.csv_rows()[0], report.csv_rows()[1:])
+        header, *rows = report.csv_rows()
+        return _csv_text(header, rows)
     verdict = "PASS" if report.failed == 0 else "FAIL"
     verdict = _colored(verdict, "32" if report.failed == 0 else "31")
     lines = [

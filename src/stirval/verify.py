@@ -188,10 +188,9 @@ def check_lemma24(m: int, n: int, k: int) -> CheckRecord:
     """
     if m < 0 or n < 1 or k < 0:
         raise DomainError(f"need m >= 0, n >= 1, k >= 0, got m={m}, n={n}, k={k}")
-    conv = sum(
-        stirling1(m, i) * stirling1_shifted(m, n, k - i)
-        for i in range(max(0, k - n), min(k, m) + 1)
-    )
+    row = stirling1_row(m)
+    shifted = stirling1_shifted_row(m, n)
+    conv = sum(row[i] * shifted[k - i] for i in range(max(0, k - n), min(k, m) + 1))
     return _record("lemma24", {"m": m, "n": n, "k": k}, conv, stirling1(m + n, k))
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -155,6 +156,79 @@ def test_harmonic_domain():
         harmonic_sym(3, 4)
     with pytest.raises(DomainError):
         harmonic_sym(0, 0)
+
+
+def test_harmonic_cap():
+    with pytest.raises(RowTooLargeError, match="row too large"):
+        harmonic_sym(5001, 1)
+
+
+def _harmonic_reference(n_max):
+    """Rows e_k(1, ..., 1/n) for n = 0..n_max from the plain in-place recurrence."""
+    row = [Fraction(1)] + [Fraction(0)] * n_max
+    rows = [(Fraction(1),)]
+    for j in range(1, n_max + 1):
+        inv = Fraction(1, j)
+        # e(j, k) = e(j-1, k) + (1/j) e(j-1, k-1), high k first
+        for k in range(j, 0, -1):
+            row[k] += inv * row[k - 1]
+        rows.append(tuple(row[: j + 1]))
+    return rows
+
+
+def _harmonic_tuple(n):
+    return tuple(harmonic_sym(n, k) for k in range(n + 1))
+
+
+def test_harmonic_rows_step_in_any_order():
+    """The stepped cursor gives the from-scratch rows whatever order n comes in."""
+    expected = _harmonic_reference(150)
+    rng = random.Random(11)
+    # a cursor at 150 makes every descending call, and most shuffled ones,
+    # a call below the cursor; rebuilds are O(n^2), so those walks are sparse
+    orders = {
+        "ascending": list(range(1, 151)),
+        "descending": list(range(150, 0, -11)),
+        "shuffled": rng.sample(range(1, 151), 25),
+    }
+    del bigmath._harmonic_row[1:]
+    for name, order in orders.items():
+        for n in order:
+            assert _harmonic_tuple(n) == expected[n], (name, n)
+    assert len(bigmath._harmonic_row) == orders["shuffled"][-1] + 1
+
+
+def test_harmonic_threads_share_the_cursor():
+    """Threads that move the harmonic cursor at once must not tear its row."""
+    expected = _harmonic_reference(30)
+    rng = random.Random(5)
+    plans = [
+        [(n, rng.randint(0, n)) for n in rng.sample(range(1, 31), 30)]
+        for _ in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
+    try:
+        del bigmath._harmonic_row[1:]
+        results = [[] for _ in plans]
+        threads = [
+            threading.Thread(
+                target=lambda plan=plan, out=out: out.extend(
+                    harmonic_sym(n, k) for n, k in plan
+                )
+            )
+            for plan, out in zip(plans, results)
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+        for plan, out in zip(plans, results):
+            assert out == [expected[n][k] for n, k in plan]
+    finally:
+        sys.setswitchinterval(interval)
+        del bigmath._harmonic_row[1:]
 
 
 @settings(max_examples=60)

@@ -140,6 +140,11 @@ def test_harmonic_check_and_json(capsys):
     assert doc["numerator"].isdigit() and doc["denominator"].isdigit()
 
 
+def test_harmonic_row_cap(capsys):
+    code, out, err = run_cli(capsys, "harmonic", "100000", "1")
+    assert code == 1 and out == "" and "row too large" in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "thm1", "--a", "1", "--n", "3")
     assert code == 0
