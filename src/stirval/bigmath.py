@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, RowTooLargeError
-from .padic import INFINITE, Prime, Valuation, as_prime, vp_factorial, vp_int
+from .padic import INFINITE, Prime, Valuation, _vp, as_prime, vp_factorial
 
 __all__ = [
     "ROW_CAP",
@@ -114,7 +114,7 @@ def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
         if all(residues[1:]):
             break
         precision *= 2
-    return (INFINITE, *(vp_int(p, r) for r in residues[1:]))
+    return (INFINITE, *(Valuation(_vp(p, r)) for r in residues[1:]))
 
 
 def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:

@@ -26,7 +26,7 @@ from .bigmath import (
     valuation_row,
 )
 from .errors import DomainError, RowTooLargeError, StirvalError, UsageError
-from .oracles import _P3, decompose_p, full_valuation_3, full_valuation_p, h_valuation
+from .oracles import _cell, full_valuation_3, full_valuation_p, h_valuation
 from .padic import as_prime
 from .verify import SUITES, VerificationReport, sweep
 
@@ -142,13 +142,9 @@ def _table_rows(a: int, n: int) -> list[dict]:
     vals = valuation_row(3, top)
     out = []
     for t in range(1, top + 1):
-        if t <= top - 2:
-            q = decompose_p(_P3, a, n, t)
-            m, k = q.m, q.k
-        else:
-            # boundary indices above the tiled domain; report the natural
-            # k = a*3^n - t (1 or 0) under m = n
-            m, k = n, top - t
+        # the boundary indices above the tiled domain report the natural
+        # k = a*3^n - t (1 or 0) under m = n
+        m, k = _cell(3, a, t) if t <= top - 2 else (n, top - t)
         formula = full_valuation_3(a, n, t)
         exact = vals[t]
         out.append(

@@ -13,7 +13,7 @@ from enum import Enum
 
 from .bigmath import bernoulli
 from .errors import DomainError, InvariantError, UsageError
-from .padic import Prime, Valuation, as_prime, vp_factorial, vp_int, vp_rational
+from .padic import Prime, Valuation, _vp, as_prime, vp_factorial, vp_rational
 
 __all__ = [
     "QueryP",
@@ -35,17 +35,24 @@ __all__ = [
 _P3 = Prime(3)
 
 
-def _v3(x: int) -> int:
-    """Finite 3-adic valuation of a nonzero integer."""
-    return vp_int(_P3, x).value
-
-
 def _check_an(p: int, a: int, n: int) -> None:
     """The (a, n) domain of every s(a*p^n, .) oracle: 1 <= a <= p-1, n >= 1."""
     if not 1 <= a <= p - 1:
         raise DomainError(f"a must satisfy 1 <= a <= p-1 = {p - 1}, got {a}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+
+
+def _check_query(p: int, a: int, n: int, m: int, k: int) -> None:
+    """The (a, n, m, k) domain of :class:`QueryP`."""
+    _check_an(p, a, n)
+    if not 1 <= m <= n:
+        raise DomainError(f"m must satisfy 1 <= m <= n, got m={m}, n={n}")
+    cap = a * (p - 1) * p ** (m - 1) + 1
+    if not 2 <= k <= cap:
+        raise DomainError(f"k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = {cap}, got k={k}")
+    if a * p**m - k < 1:
+        raise DomainError(f"a*p^m - k must be >= 1, got {a * p ** m - k}")
 
 
 @dataclass(frozen=True)
@@ -66,19 +73,7 @@ class QueryP:
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_prime(self.p))
-        p = self.p.p
-        _check_an(p, self.a, self.n)
-        if not 1 <= self.m <= self.n:
-            raise DomainError(f"m must satisfy 1 <= m <= n, got m={self.m}, n={self.n}")
-        cap = self.a * (p - 1) * p ** (self.m - 1) + 1
-        if not 2 <= self.k <= cap:
-            raise DomainError(
-                f"k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = {cap}, got k={self.k}"
-            )
-        if self.a * p**self.m - self.k < 1:
-            raise DomainError(
-                f"a*p^m - k must be >= 1, got {self.a * p ** self.m - self.k}"
-            )
+        _check_query(self.p.p, self.a, self.n, self.m, self.k)
 
     @property
     def t(self) -> int:
@@ -114,47 +109,10 @@ class OracleResult:
         return f"{prefix}{self.value}"
 
 
-def thm1_valuation(q: QueryP) -> Valuation:
-    """Closed form for v_3(s(a*3^n, a*3^m - k)) on the tiled (m, k) domain."""
-    if q.p.p != 3:
-        raise DomainError(f"Theorem 1 is the p = 3 form, got p={q.p}")
-    a, n, m, k = q.a, q.n, q.m, q.k
-    spread = a * (3**n - 3**m)
-    if spread % 2:
-        raise InvariantError(f"a*(3^n - 3^m) = {spread} is odd")
-    val = (
-        spread // 2
-        - (n - m) * (a * 3**m - k)
-        + m
-        - 1
-        - _v3(k // 2)
-        + (m + _v3(k)) * q.epsilon_k
-    )
-    return Valuation(val)
-
-
-def cor1_valuation(a: int, n: int, k: int) -> Valuation:
-    """The m = n specialization: v_3(s(a*3^n, a*3^n - k)) by parity of k."""
-    QueryP(_P3, a, n, n, k)  # validates the domain
-    if k % 2 == 0:
-        return Valuation(n - 1 - _v3(k))
-    return Valuation(2 * n - 1 + _v3(k) - _v3(k - 1))
-
-
-def decompose_p(p: int | Prime, a: int, n: int, t: int) -> QueryP:
-    """Write t = a*p^m - k with (m, k) in the admissible set.
-
-    m is the unique integer with a*p^(m-1) - 1 <= t <= a*p^m - 2.  At p = 3
-    the cells tile [1, a*3^n - 2] exactly once each; for other p, raises
-    DomainError when no cell covers t (possible only for a >= 4, t in
-    [2, a-2], and for the empty p = 2 bottom cell).
-    """
-    prime = as_prime(p)
-    q = prime.p
-    _check_an(q, a, n)
-    if not 1 <= t <= a * q**n - 2:
-        raise DomainError(f"t must satisfy 1 <= t <= a*p^n - 2 = {a * q ** n - 2}, got {t}")
-    m, cell_top = 1, a * q  # cell_top = a*p^m
+# Plain-int cores: the public oracle calling one has checked its arguments.
+def _cell(q: int, a: int, t: int) -> tuple[int, int]:
+    """(m, k) with t = a*q^m - k and a*q^(m-1) - 1 <= t <= a*q^m - 2; see decompose_p."""
+    m, cell_top = 1, a * q  # cell_top = a*q^m
     while cell_top - 2 < t:
         m += 1
         cell_top *= q
@@ -163,7 +121,89 @@ def decompose_p(p: int | Prime, a: int, n: int, t: int) -> QueryP:
         raise DomainError(
             f"t={t} is below the bottom cell of the closed-form domain for p={q}, a={a}"
         )
-    return QueryP(prime, a, n, m, k)
+    return m, k
+
+
+def _thm1(a: int, n: int, m: int, k: int) -> int:
+    """Theorem 1: v_3(s(a*3^n, a*3^m - k))."""
+    spread = a * (3**n - 3**m)
+    if spread % 2:
+        raise InvariantError(f"a*(3^n - 3^m) = {spread} is odd")
+    val = spread // 2 - (n - m) * (a * 3**m - k) + m - 1 - _vp(3, k // 2)
+    if k & 1:
+        val += m + _vp(3, k)
+    return val
+
+
+def _conjecture13(p: int, a: int, n: int, m: int, k: int) -> int:
+    """The conjectural form for v_p(s(a*p^n, a*p^m - k)); see conjecture13_valuation."""
+    eps = k & 1
+    if p == 2:
+        # a is forced to 1; proven form with the parity weight (m-1) and a
+        # flat -2 - v2(floor(k/2)) correction.
+        val = (2**n - 2**m) - (n - m) * (2**m - k) + m - 2 - _vp(2, k // 2)
+        if eps:
+            val += m - 1
+        return val
+    spread = a * (p**n - p**m)
+    if spread % (p - 1):
+        raise InvariantError(f"a*(p^n - p^m) = {spread} is not divisible by p-1 = {p - 1}")
+    val = spread // (p - 1) - (n - m) * (a * p**m - k) + m
+    if eps:
+        val += m + _vp(p, k)
+    if (k - eps) % (p - 1) == 0:
+        return val - 1 - _vp(p, k // 2)
+    b = bernoulli(2 * (k % (p - 1) // 2))  # an even index >= 2, so b != 0
+    return val + _vp(p, b.numerator) - _vp(p, b.denominator)
+
+
+def _full(q: int, a: int, n: int, top: int, t: int) -> int:
+    """v_q(s(top, t)) for top = a*q^n and 1 <= t <= top; see full_valuation_p."""
+    if t == top:
+        return 0
+    if t == top - 1:
+        # v_p(C(N, 2)) for N = a*p^n: n for odd p, n-1 for p = 2
+        return n - 1 if q == 2 else n
+    if q == 3:
+        return _thm1(a, n, *_cell(3, a, t))
+    if t == 1:
+        return vp_factorial(q, top - 1).value
+    try:
+        return _conjecture13(q, a, n, *_cell(q, a, t))
+    except DomainError:
+        raise DomainError(f"no closed form implemented for p={q}, a={a}, n={n}, t={t}; "
+                          "use --method exact") from None
+
+
+def thm1_valuation(q: QueryP) -> Valuation:
+    """Closed form for v_3(s(a*3^n, a*3^m - k)) on the tiled (m, k) domain."""
+    if q.p.p != 3:
+        raise DomainError(f"Theorem 1 is the p = 3 form, got p={q.p}")
+    return Valuation(_thm1(q.a, q.n, q.m, q.k))
+
+
+def cor1_valuation(a: int, n: int, k: int) -> Valuation:
+    """The m = n specialization: v_3(s(a*3^n, a*3^n - k)) by parity of k."""
+    _check_query(3, a, n, n, k)
+    if k % 2 == 0:
+        return Valuation(n - 1 - _vp(3, k))
+    return Valuation(2 * n - 1 + _vp(3, k) - _vp(3, k - 1))
+
+
+def decompose_p(p: int | Prime, a: int, n: int, t: int) -> QueryP:
+    """Write t = a*p^m - k with (m, k) in the admissible set.
+
+    m is the unique integer with a*p^(m-1) - 1 <= t <= a*p^m - 2.  At p = 3
+    the cells tile [1, a*3^n - 2] exactly once each; for other p, raises
+    DomainError when no cell covers t (exactly when 1 <= t <= a-2, so
+    only for a >= 3).
+    """
+    prime = as_prime(p)
+    q = prime.p
+    _check_an(q, a, n)
+    if not 1 <= t <= a * q**n - 2:
+        raise DomainError(f"t must satisfy 1 <= t <= a*p^n - 2 = {a * q ** n - 2}, got {t}")
+    return QueryP(prime, a, n, *_cell(q, a, t))
 
 
 def full_valuation_p(p: int | Prime, a: int, n: int, t: int) -> Valuation:
@@ -175,28 +215,12 @@ def full_valuation_p(p: int | Prime, a: int, n: int, t: int) -> Valuation:
     p, t = 1 is v_p((N-1)!) and the rest is the conjectural form; raises
     DomainError where no closed form is implemented.
     """
-    prime = as_prime(p)
-    q = prime.p
+    q = as_prime(p).p
     _check_an(q, a, n)
     top = a * q**n
     if not 1 <= t <= top:
         raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {t}")
-    if t == top:
-        return Valuation(0)
-    if t == top - 1:
-        # v_p(C(N, 2)) for N = a*p^n: n for odd p, n-1 for p = 2
-        return Valuation(n - 1 if q == 2 else n)
-    if q == 3:
-        return thm1_valuation(decompose_p(prime, a, n, t))
-    if t == 1:
-        return vp_factorial(prime, top - 1)
-    try:
-        return conjecture13_valuation(decompose_p(prime, a, n, t))
-    except DomainError:
-        raise DomainError(
-            f"no closed form implemented for p={q}, a={a}, n={n}, t={t}; "
-            "use --method exact"
-        ) from None
+    return Valuation(_full(q, a, n, top, t))
 
 
 def full_valuation_3(a: int, n: int, t: int) -> Valuation:
@@ -244,35 +268,19 @@ def conjecture13_valuation(q: QueryP) -> Valuation:
     form is used instead of a literal reading of the odd-p expression
     (see the ledger note on the p = 2 branch).
     """
-    p, a, n, m, k = q.p.p, q.a, q.n, q.m, q.k
-    eps = q.epsilon_k
-    if p == 2:
-        # a is forced to 1; proven form with the parity weight (m-1) and a
-        # flat -2 - v2(floor(k/2)) correction.
-        val = (2**n - 2**m) - (n - m) * (2**m - k) + m - 2 - vp_int(2, k // 2).value
-        if eps:
-            val += m - 1
-        return Valuation(val)
-    spread = a * (p**n - p**m)
-    if spread % (p - 1):
-        raise InvariantError(f"a*(p^n - p^m) = {spread} is not divisible by p-1 = {p - 1}")
-    val = spread // (p - 1) - (n - m) * (a * p**m - k) + m + (m + vp_int(p, k).value) * eps
-    if (k - eps) % (p - 1) == 0:
-        val += -1 - vp_int(p, k // 2).value
-    else:
-        b = bernoulli(2 * (q.k_residue // 2))
-        val += vp_rational(p, b).value
-    return Valuation(val)
+    return Valuation(_conjecture13(q.p.p, q.a, q.n, q.m, q.k))
 
 
 def thm2_shift_valuation(a: int, n: int, k: int) -> OracleResult:
     """v_3(s(a*3^n + 1, k + 1)): exact when k = a (mod 2), else a lower bound."""
     _check_an(3, a, n)
-    if not 1 <= k <= a * 3**n:
-        raise DomainError(f"k must satisfy 1 <= k <= a*3^n = {a * 3 ** n}, got {k}")
+    top = a * 3**n
+    if not 1 <= k <= top:
+        raise DomainError(f"k must satisfy 1 <= k <= a*3^n = {top}, got {k}")
     if (k - a) % 2 == 0:
-        return OracleResult(BoundKind.EXACT, full_valuation_3(a, n, k))
-    return OracleResult(BoundKind.LOWER_BOUND, full_valuation_3(a, n, k + 1) + n)
+        return OracleResult(BoundKind.EXACT, Valuation(_full(3, a, n, top, k)))
+    # k = top is even against a, so k + 1 <= top here
+    return OracleResult(BoundKind.LOWER_BOUND, Valuation(_full(3, a, n, top, k + 1) + n))
 
 
 def max_valuation_bound(a: int, n: int) -> OracleResult:
@@ -294,7 +302,7 @@ def _as_a3n(n: int) -> tuple[int, int] | None:
     """Recognize n = a*3^N with a in {1, 2}, N >= 1; return (a, N) or None."""
     if n < 3:
         return None
-    big_n = vp_int(_P3, n).value
+    big_n = _vp(3, n)
     a = n // 3**big_n
     if big_n >= 1 and a in (1, 2):
         return a, big_n

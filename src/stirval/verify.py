@@ -10,9 +10,9 @@ and return deterministic, sorted reports.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .bigmath import (
     binomial,
@@ -123,8 +123,28 @@ class VerificationReport:
             "records": [r.as_json_obj() for r in self.records],
         }
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.as_json_obj(), indent=indent)
+    def to_json(self) -> str:
+        """``json.dumps(self.as_json_obj(), indent=2)``, byte for byte, written
+        directly: given ``indent``, json falls back to its slow pure-Python encoder."""
+        parts = [
+            f'{{\n  "suite": {_json_str(self.suite)},\n  "total": {self.total},\n'
+            f'  "passed": {self.passed},\n  "failed": {self.failed},\n'
+            f'  "deviations": {self.deviations},\n  "records": '
+        ]
+        opening = "["  # then "," before every later record
+        for r in self.records:
+            params = ",\n".join(f"        {_json_str(k)}: {v}" for k, v in r.params.items())
+            params = "{\n" + params + "\n      }" if params else "{}"
+            parts.append(
+                f'{opening}\n    {{\n      "check_id": {_json_str(r.check_id)},\n'
+                f'      "params": {params},\n'
+                f'      "expected": {_json_str(r.expected)},\n'
+                f'      "actual": {_json_str(r.actual)},\n'
+                f'      "pass": {"true" if r.passed else "false"}\n    }}'
+            )
+            opening = ","
+        parts.append("\n  ]\n}" if self.records else "[]\n}")
+        return "".join(parts)  # one join: a large report is built once, not copied
 
     def csv_rows(self) -> list[list[str]]:
         """Header plus one row per record, param columns in sorted order."""

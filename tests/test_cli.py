@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +236,20 @@ def test_verify_refuses_empty_grids(capsys):
                  ("verify", "conjecture13", "--p", "5", "--n", "0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and "no checks" in err, argv
+
+
+#: Reports written by ``stirval verify`` before the JSON writer was replaced;
+#: the report bytes must not change.
+_GOLDEN_REPORTS = [
+    (["thm1", "--a", "1", "--n", "2", "--format", "json"], "verify_thm1_a1_n2.json"),
+    (["thm2", "--a", "2", "--n", "2", "--format", "csv"], "verify_thm2_a2_n2.csv"),
+    (["lemma26", "--n", "1", "--format", "json"], "verify_lemma26_n1.json"),
+    (["conjecture13", "--p", "5", "--n", "2", "--format", "json"], "verify_conjecture13_p5_n2.json"),
+]
+
+
+@pytest.mark.parametrize("argv, name", _GOLDEN_REPORTS)
+def test_verify_report_bytes_match_golden_files(capsys, argv, name):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (Path(__file__).parent / "data" / name).read_bytes()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import stirval
 from stirval import (
     INFINITE,
     BoundKind,
@@ -15,6 +16,7 @@ from stirval import (
     cor1_valuation,
     decompose_p,
     full_valuation_3,
+    full_valuation_p,
     h_valuation,
     komatsu_young_valuation,
     lengyel_special,
@@ -22,6 +24,7 @@ from stirval import (
     stirling1_row,
     thm1_valuation,
     thm2_shift_valuation,
+    valuation_row,
     vp_factorial,
     vp_int,
 )
@@ -318,3 +321,111 @@ def test_boundary_column_values():
             assert vp_int(3, row[top - 1]) == n
     assert full_valuation_3(1, 3, 1) == (27 - 6 - 1) // 2
     assert vp_int(3, 0) == INFINITE
+
+
+#: One out-of-domain call per guard, with the DomainError message the
+#: oracles gave before they were split into checks and plain-int cores.
+_GOLDEN_DOMAIN_ERRORS = [
+    ("full_valuation_p", (4, 1, 1, 1), "4 is not prime (divisible by 2)"),
+    ("full_valuation_p", (3, 0, 2, 1), "a must satisfy 1 <= a <= p-1 = 2, got 0"),
+    ("full_valuation_p", (3, 3, 2, 1), "a must satisfy 1 <= a <= p-1 = 2, got 3"),
+    ("full_valuation_p", (3, 1, 0, 1), "n must be >= 1, got 0"),
+    ("full_valuation_p", (3, 1, 2, 0), "t must satisfy 1 <= t <= a*p^n = 9, got 0"),
+    ("full_valuation_p", (3, 2, 2, 19), "t must satisfy 1 <= t <= a*p^n = 18, got 19"),
+    ("full_valuation_p", (5, 0, 1, 1), "a must satisfy 1 <= a <= p-1 = 4, got 0"),
+    ("full_valuation_p", (5, 5, 1, 1), "a must satisfy 1 <= a <= p-1 = 4, got 5"),
+    ("full_valuation_p", (5, 2, 0, 1), "n must be >= 1, got 0"),
+    ("full_valuation_p", (5, 2, 1, 0), "t must satisfy 1 <= t <= a*p^n = 10, got 0"),
+    ("full_valuation_p", (5, 2, 1, 11), "t must satisfy 1 <= t <= a*p^n = 10, got 11"),
+    ("full_valuation_p", (5, 4, 1, 2), "no closed form implemented for p=5, a=4, n=1, t=2; use --method exact"),
+    ("full_valuation_p", (5, 4, 3, 2), "no closed form implemented for p=5, a=4, n=3, t=2; use --method exact"),
+    ("full_valuation_3", (3, 1, 1), "a must satisfy 1 <= a <= p-1 = 2, got 3"),
+    ("full_valuation_3", (1, 2, 10), "t must satisfy 1 <= t <= a*p^n = 9, got 10"),
+    ("thm2_shift_valuation", (0, 1, 1), "a must satisfy 1 <= a <= p-1 = 2, got 0"),
+    ("thm2_shift_valuation", (3, 1, 1), "a must satisfy 1 <= a <= p-1 = 2, got 3"),
+    ("thm2_shift_valuation", (1, 0, 1), "n must be >= 1, got 0"),
+    ("thm2_shift_valuation", (1, 2, 0), "k must satisfy 1 <= k <= a*3^n = 9, got 0"),
+    ("thm2_shift_valuation", (2, 2, 19), "k must satisfy 1 <= k <= a*3^n = 18, got 19"),
+    ("cor1_valuation", (0, 2, 2), "a must satisfy 1 <= a <= p-1 = 2, got 0"),
+    ("cor1_valuation", (3, 2, 2), "a must satisfy 1 <= a <= p-1 = 2, got 3"),
+    ("cor1_valuation", (1, 0, 2), "n must be >= 1, got 0"),
+    ("cor1_valuation", (1, 2, 1), "k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = 7, got k=1"),
+    ("cor1_valuation", (1, 2, 8), "k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = 7, got k=8"),
+    ("cor1_valuation", (2, 3, 38), "k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = 37, got k=38"),
+    ("cor1_valuation", (1, 1, 3), "a*p^m - k must be >= 1, got 0"),
+    ("decompose_p", (4, 1, 1, 1), "4 is not prime (divisible by 2)"),
+    ("decompose_p", (3, 3, 2, 1), "a must satisfy 1 <= a <= p-1 = 2, got 3"),
+    ("decompose_p", (3, 1, 0, 1), "n must be >= 1, got 0"),
+    ("decompose_p", (3, 1, 2, 0), "t must satisfy 1 <= t <= a*p^n - 2 = 7, got 0"),
+    ("decompose_p", (3, 1, 2, 8), "t must satisfy 1 <= t <= a*p^n - 2 = 7, got 8"),
+    ("decompose_p", (5, 4, 1, 2), "t=2 is below the bottom cell of the closed-form domain for p=5, a=4"),
+    ("decompose_p", (5, 6, 1, 2), "a must satisfy 1 <= a <= p-1 = 4, got 6"),
+    ("decompose_p", (2, 1, 3, 7), "t must satisfy 1 <= t <= a*p^n - 2 = 6, got 7"),
+    ("QueryP", (4, 1, 1, 1, 2), "4 is not prime (divisible by 2)"),
+    ("QueryP", (3, 0, 1, 1, 2), "a must satisfy 1 <= a <= p-1 = 2, got 0"),
+    ("QueryP", (3, 1, 0, 1, 2), "n must be >= 1, got 0"),
+    ("QueryP", (3, 1, 2, 0, 2), "m must satisfy 1 <= m <= n, got m=0, n=2"),
+    ("QueryP", (3, 1, 2, 3, 2), "m must satisfy 1 <= m <= n, got m=3, n=2"),
+    ("QueryP", (3, 1, 2, 2, 1), "k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = 7, got k=1"),
+    ("QueryP", (3, 1, 2, 2, 8), "k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = 7, got k=8"),
+    ("QueryP", (3, 1, 1, 1, 3), "a*p^m - k must be >= 1, got 0"),
+    ("QueryP", (5, 2, 2, 2, 42), "k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = 41, got k=42"),
+]
+
+
+@pytest.mark.parametrize("name, args, message", _GOLDEN_DOMAIN_ERRORS)
+def test_domain_error_messages_are_unchanged(name, args, message):
+    with pytest.raises(DomainError) as exc:
+        getattr(stirval, name)(*args)
+    assert str(exc.value) == message
+
+
+def test_thm1_refuses_other_primes_with_its_message():
+    with pytest.raises(DomainError) as exc:
+        thm1_valuation(QueryP(5, 1, 1, 1, 2))
+    assert str(exc.value) == "Theorem 1 is the p = 3 form, got p=5"
+
+
+def test_p3_oracles_against_valuation_rows_whole_domain():
+    for a in (1, 2):
+        for n in range(1, 6):
+            top = a * 3**n
+            vals, vals_up = valuation_row(3, top), valuation_row(3, top + 1)
+            for t in range(1, top + 1):
+                assert full_valuation_3(a, n, t) == vals[t], (a, n, t)
+                res = thm2_shift_valuation(a, n, t)
+                if (t - a) % 2 == 0:
+                    assert res.kind is BoundKind.EXACT and res.value == vals_up[t + 1], (a, n, t)
+                else:
+                    assert res.kind is BoundKind.LOWER_BOUND, (a, n, t)
+                    assert vals_up[t + 1] >= res.value, (a, n, t)
+            for k in range(2, min(2 * a * 3 ** (n - 1) + 1, top - 1) + 1):
+                assert cor1_valuation(a, n, k) == vals[top - k], (a, n, k)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_conjecture13_against_valuation_rows_whole_domain(p):
+    decomposed = 0
+    for a in range(1, p):
+        n = 1
+        while a * p**n <= 700:
+            top = a * p**n
+            vals = valuation_row(p, top)
+            for t in range(1, top + 1):
+                if 1 < t <= a - 2:
+                    with pytest.raises(DomainError, match="no closed form"):
+                        full_valuation_p(p, a, n, t)
+                else:
+                    assert full_valuation_p(p, a, n, t) == vals[t], (p, a, n, t)
+                if t > top - 2:
+                    continue
+                if t <= a - 2:  # below the bottom cell
+                    with pytest.raises(DomainError, match="bottom cell"):
+                        decompose_p(p, a, n, t)
+                    continue
+                q = decompose_p(p, a, n, t)
+                assert q == QueryP(p, a, n, q.m, q.k) and q.t == t
+                assert conjecture13_valuation(q) == vals[t], (p, a, n, t)
+                decomposed += 1
+            n += 1
+    assert decomposed > 1000

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from stirval import (
     vp_int,
     vp_rational,
 )
+from stirval.padic import _vp
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 47]
 
@@ -67,6 +69,55 @@ def test_as_prime_reuses_valid_primes_and_rejects_bad_input_every_call():
                 as_prime(bad)
             with pytest.raises(DomainError):
                 vp_int(bad, 9)
+            with pytest.raises(DomainError):
+                vp_int(bad, 0)
+
+
+def test_vp_int_takes_int_like_n_and_refuses_others():
+    class IntLike:
+        def __index__(self):
+            return 18
+
+    assert vp_int(3, IntLike()) == 2
+    assert vp_int(3, True) == 0
+    for bad in (Fraction(9), 9.0, "9", None):
+        with pytest.raises(TypeError):
+            vp_int(3, bad)
+
+
+def _naive_vp(p: int, n: int) -> int:
+    n, v = abs(n), 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+#: Exponents around where a pass of q, q^2, q^4, ... ends (2^j - 1, 2^j, 2^j + 1) up to
+#: 3000, and a seeded sample between them.
+_PASS_EXPONENTS = sorted(
+    {v for j in range(12) for v in (2**j - 1, 2**j, 2**j + 1) if v <= 3000}
+    | set(random.Random(5).sample(range(3001), 40))
+    | {0, 2, 3, 5, 6, 7, 2999, 3000}
+)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_vp_int_matches_division_loop(p):
+    """p**v * u with u coprime to p, of 1, 40 and 200 bits, both signs."""
+    rng = random.Random(p)
+    for v in _PASS_EXPONENTS:
+        for bits in (1, 40, 200):
+            u = rng.getrandbits(bits) | 1
+            while u % p == 0:
+                u += 2
+            n = p**v * u
+            expected = _naive_vp(p, n)
+            assert expected == v
+            for signed in (n, -n):
+                assert _vp(p, signed) == v, (p, v, bits)
+                assert vp_int(p, signed) == v, (p, v, bits)
+                assert vp_int(Prime(p), signed).value == v
 
 
 def _legendre(p: int, n: int) -> int:

@@ -178,6 +178,24 @@ def test_report_determinism():
     assert a == b
 
 
+def test_to_json_is_json_dumps_with_indent_2():
+    reports = [
+        sweep("lemma26", {"n": 1}),
+        sweep("thm2", {"a": 2, "n": 2}),
+        VerificationReport("empty", []),
+        VerificationReport("q\"uo\\te", [CheckRecord("no-params\n", {}, ">=1", "2", False)]),
+        VerificationReport(
+            "caf\u00e9",
+            [
+                CheckRecord("big", {"a": -1, "\u00e9": 10**40}, "1;diff=3", "1", True),
+                CheckRecord("tab\t", {"a": 2, "\u00e9": 0}, "\u2264", " ", False),
+            ],
+        ),
+    ]
+    for report in reports:
+        assert report.to_json() == json.dumps(report.as_json_obj(), indent=2)
+
+
 def test_report_json_schema():
     report = sweep("cor1", {"a": 1, "n": 2})
     doc = json.loads(report.to_json())
