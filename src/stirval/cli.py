@@ -11,13 +11,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 import time
 
 from .bigmath import (
-    ROW_CAP,
     _cached_valuation_row,
     _check_row_cap,
     harmonic_sym,
@@ -211,8 +211,6 @@ def _cmd_harmonic(args) -> int:
     val = h_valuation(p, args.n, args.k)
     identity_ok = None
     if args.check:
-        import math
-
         identity_ok = math.factorial(args.n) * h == stirling1(args.n + 1, args.k + 1)
     if args.format == "json":
         doc = {
@@ -284,7 +282,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     top = args.a * 3**args.n
-    _check_row_cap(top, ROW_CAP)
+    _check_row_cap(top)
     # warm anything the formula path caches (none today, but keep it honest)
     full_valuation_3(args.a, args.n, 1)
 

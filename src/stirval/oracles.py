@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bigmath import bernoulli
+from .bigmath import bernoulli, harmonic_sym
 from .errors import DomainError, InvariantError, UsageError
 from .padic import Prime, Valuation, _vp, as_prime, vp_factorial, vp_rational
 
@@ -317,8 +317,6 @@ def h_valuation(p: int | Prime, n: int, k: int) -> Valuation:
     v_3(s(n+1, k+1)) - v_3(n!) must give the same answer; a disagreement
     raises InvariantError rather than being trusted away.
     """
-    from .bigmath import harmonic_sym
-
     prime = as_prime(p)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")

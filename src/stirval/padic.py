@@ -42,10 +42,6 @@ class Valuation:
             raise TypeError(f"finite valuation must be an int, got {type(v).__name__}")
         self._v = v
 
-    @classmethod
-    def finite(cls, v: int) -> "Valuation":
-        return cls(v)
-
     @property
     def is_infinite(self) -> bool:
         return self._v is None

@@ -54,9 +54,6 @@ __all__ = [
     "SUITES",
 ]
 
-#: Guard on the size of the rows the conjecture explorer reads.
-EXPLORE_ROW_GUARD = 5000
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -426,10 +423,25 @@ def _sweep_congruence(limits: dict) -> list[CheckRecord]:
     ]
 
 
-def _conjecture_records(p: Prime, a: int, n_values: list[int]) -> list[CheckRecord]:
-    q = p.p
+def _sweep_conjecture13(limits: dict) -> list[CheckRecord]:
+    p = as_prime(limits.get("p", 3))
+    q, a = p.p, limits.get("a", 1)
+    # a only (sweep refuses an empty or n = 0 grid), and before the default
+    # budget below, whose loop never ends for a <= 0
+    _check_an(q, a, 1)
+    if "n" in limits:
+        n_values = [limits["n"]]
+    elif "n_max" in limits:
+        n_values = range(1, limits["n_max"] + 1)
+    else:
+        # default exploration budget: largest n with a*p^n <= 650
+        n_top = 0
+        while a * q ** (n_top + 1) <= 650:
+            n_top += 1
+        n_values = range(1, n_top + 1)
     records = []
-    for n in n_values:
+    # largest row first, so a grid past ROW_CAP is refused before any row is built
+    for n in reversed(n_values):
         vals = valuation_row(p, a * q**n)
         for m in range(1, n + 1):
             k_top = min(a * (q - 1) * q ** (m - 1) + 1, a * q**m - 1)
@@ -444,28 +456,6 @@ def _conjecture_records(p: Prime, a: int, n_values: list[int]) -> list[CheckReco
                     )
                 )
     return records
-
-
-def _sweep_conjecture13(limits: dict) -> list[CheckRecord]:
-    p = as_prime(limits.get("p", 3))
-    a = limits.get("a", 1)
-    if "n" in limits:
-        n_values = [limits["n"]]
-    elif "n_max" in limits:
-        n_values = list(range(1, limits["n_max"] + 1))
-    else:
-        # default exploration budget: largest n with a*p^n <= 650
-        n_top = 0
-        while a * p.p ** (n_top + 1) <= 650:
-            n_top += 1
-        n_values = list(range(1, n_top + 1))
-    _check_an(p.p, a, 1)  # a only: sweep refuses an empty or n = 0 grid (no checks)
-    guard = max(n_values, default=0)
-    if n_values and a * p.p**guard > EXPLORE_ROW_GUARD:
-        raise DomainError(
-            f"a*p^n = {a * p.p ** guard} exceeds the exact-row guard {EXPLORE_ROW_GUARD}"
-        )
-    return _conjecture_records(p, a, n_values)
 
 
 _SWEEPS = {
@@ -487,22 +477,19 @@ _SWEEPS = {
 SUITES = tuple(_SWEEPS)
 
 
-def _nonempty_report(suite: str, records: list[CheckRecord], limits: dict) -> VerificationReport:
-    """The suite's report; a grid with no checks is refused, never passed."""
-    if not records:
-        grid = ", ".join(f"{k}={v}" for k, v in sorted(limits.items())) or "defaults"
-        raise UsageError(f"suite {suite!r} has no checks on the grid ({grid})")
-    return VerificationReport(suite, records)
-
-
 def sweep(suite: str, limits: dict | None = None) -> VerificationReport:
-    """Run one suite exhaustively over its (possibly limited) grid."""
+    """Run one suite exhaustively over its (possibly limited) grid; a grid
+    with no checks is refused, never passed."""
     if suite not in _SWEEPS:
         raise UsageError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
     fn, allowed = _SWEEPS[suite]
     limits = dict(limits or {})
     _limit_keys(limits, allowed, suite)
-    return _nonempty_report(suite, fn(limits), limits)
+    records = fn(limits)
+    if not records:
+        grid = ", ".join(f"{k}={v}" for k, v in sorted(limits.items())) or "defaults"
+        raise UsageError(f"suite {suite!r} has no checks on the grid ({grid})")
+    return VerificationReport(suite, records)
 
 
 def explore_conjecture13(p: int | Prime, a: int, n_max: int) -> VerificationReport:
@@ -512,10 +499,4 @@ def explore_conjecture13(p: int | Prime, a: int, n_max: int) -> VerificationRepo
     """
     prime = as_prime(p)
     _check_an(prime.p, a, n_max)
-    if a * prime.p**n_max > EXPLORE_ROW_GUARD:
-        raise DomainError(
-            f"a*p^n_max = {a * prime.p ** n_max} exceeds the exact-row guard "
-            f"{EXPLORE_ROW_GUARD}"
-        )
-    records = _conjecture_records(prime, a, list(range(1, n_max + 1)))
-    return _nonempty_report("conjecture13", records, {"p": prime.p, "a": a, "n_max": n_max})
+    return sweep("conjecture13", {"p": prime.p, "a": a, "n_max": n_max})

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stirval
 from stirval import bigmath
 from stirval import (
     INFINITE,
@@ -77,12 +79,32 @@ def test_binomial():
 def test_row_cap():
     with pytest.raises(RowTooLargeError, match="row too large"):
         stirling1_row(5001)
-    with pytest.raises(RowTooLargeError, match="row too large"):
-        stirling1_row(11, cap=10)
     with pytest.raises(RowTooLargeError):
         stirling1(6000, 3)
-    # a raised cap is honored
-    assert len(stirling1_row(12, cap=12)) - 1 == 12
+
+
+def test_no_public_callable_takes_a_cap():
+    """Row-size policy is fixed in bigmath: no call can raise its caps."""
+    for name in stirval.__all__:
+        obj = getattr(stirval, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # no introspectable signature
+            continue
+        assert "cap" not in params, name
+
+
+def test_plain_and_shifted_rows_share_one_cache():
+    bigmath._cached_row.cache_clear()
+    try:
+        assert stirling1_shifted_row(0, 7) is stirling1_row(7)
+        stirling1_shifted_row(2, 7)
+        info = bigmath._cached_row.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    finally:
+        bigmath._cached_row.cache_clear()
 
 
 def test_bernoulli_values():
@@ -161,6 +183,11 @@ def test_harmonic_domain():
 def test_harmonic_cap():
     with pytest.raises(RowTooLargeError, match="row too large"):
         harmonic_sym(5001, 1)
+    # the harmonic row has its own, lower bound: refused before any step
+    cursor = len(bigmath._harmonic_row)
+    with pytest.raises(RowTooLargeError, match="row too large"):
+        harmonic_sym(bigmath._HARMONIC_CAP + 1, 1)
+    assert len(bigmath._harmonic_row) == cursor
 
 
 def _harmonic_reference(n_max):
@@ -349,6 +376,55 @@ def test_valuation_row_doubling_survives_python_O():
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _FORCED_DOUBLING],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
+_CORRUPT_RESIDUE = """
+import stirval.bigmath as bigmath
+from stirval import InvariantError, valuation_row
+
+expand = bigmath._expand_rising
+
+
+def off_by_one(n, shift, modulus=0):
+    c = expand(n, shift, modulus)
+    if modulus:
+        c[n // 2 + 1] += 1  # one residue off by one; the row stays nonzero
+    return c
+
+
+bigmath._expand_rising = off_by_one
+bigmath._cached_valuation_row.cache_clear()
+try:
+    for p, n in [(2, 1), (2, 2), (3, 9), (5, 40), (3, 162)]:
+        try:
+            valuation_row(p, n)
+        except InvariantError as exc:
+            if "witness" not in str(exc):
+                raise
+        else:
+            raise SystemExit(f"valuation_row({p}, {n}) took a corrupted residue")
+finally:
+    bigmath._expand_rising = expand
+    bigmath._cached_valuation_row.cache_clear()
+print("ok")
+"""
+
+
+def test_valuation_row_witness_refuses_a_corrupted_residue():
+    """The x = 1 and x = -1 sums catch one residue that is off by one."""
+    exec(compile(_CORRUPT_RESIDUE, "<corrupt-residue>", "exec"), {})
+
+
+def test_valuation_row_witness_survives_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_RESIDUE],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

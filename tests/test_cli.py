@@ -142,8 +142,9 @@ def test_harmonic_check_and_json(capsys):
 
 
 def test_harmonic_row_cap(capsys):
-    code, out, err = run_cli(capsys, "harmonic", "100000", "1")
-    assert code == 1 and out == "" and "row too large" in err
+    for n in ("100000", "3000"):
+        code, out, err = run_cli(capsys, "harmonic", n, "1")
+        assert code == 1 and out == "" and "row too large" in err
 
 
 def test_verify_pass(capsys):

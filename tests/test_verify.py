@@ -9,6 +9,7 @@ from stirval import (
     CheckRecord,
     DomainError,
     OracleResult,
+    RowTooLargeError,
     UsageError,
     Valuation,
     VerificationReport,
@@ -22,6 +23,7 @@ from stirval import (
     explore_conjecture13,
     sweep,
 )
+from stirval import bigmath
 from stirval.verify import _record
 
 
@@ -146,12 +148,35 @@ def test_empty_grids_are_refused():
 
 
 def test_explore_guards():
-    with pytest.raises(DomainError):
-        explore_conjecture13(7, 1, 5)  # 7^5 is past the exact-row guard
+    with pytest.raises(RowTooLargeError, match="row too large"):
+        explore_conjecture13(7, 1, 5)  # 7^5 is past ROW_CAP
     with pytest.raises(DomainError):
         explore_conjecture13(5, 5, 1)
     with pytest.raises(DomainError):
         explore_conjecture13(5, 1, 0)
+    with pytest.raises(DomainError):
+        sweep("conjecture13", {"a": 0})  # no n limit: the default budget
+
+
+def test_over_cap_conjecture_grids_build_no_row(monkeypatch):
+    """The largest row is read first, so a grid past ROW_CAP builds nothing."""
+    calls = []
+    expand = bigmath._expand_rising
+
+    def counting_expand(*args):
+        calls.append(args[:2])
+        return expand(*args)
+
+    monkeypatch.setattr(bigmath, "_expand_rising", counting_expand)
+    bigmath._cached_valuation_row.cache_clear()
+    try:
+        with pytest.raises(RowTooLargeError, match="row too large"):
+            sweep("conjecture13", {"p": 5, "n_max": 6})
+        with pytest.raises(RowTooLargeError, match="row too large"):
+            explore_conjecture13(7, 1, 5)
+    finally:
+        bigmath._cached_valuation_row.cache_clear()
+    assert calls == []
 
 
 def test_report_counts_and_sorting():
