@@ -9,6 +9,7 @@ functions of 1, 1/2, ..., 1/n.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -67,10 +68,12 @@ def _expand_rising(n: int, shift: int, modulus: int = 0) -> list[int]:
 
 
 def _check_row_cap(n: int) -> None:
-    if n < 0:
+    # operator.index refuses a float n, which would share an int's cache key
+    if operator.index(n) < 0:
         raise DomainError(f"row index must be >= 0, got {n}")
-    if n > ROW_CAP:
-        raise RowTooLargeError(f"row too large: n={n} exceeds cap {ROW_CAP}")
+    if n > ROW_CAP:  # str() refuses ints over 4300 digits, so a huge n is shown by size
+        shown = n if n < 10**4000 else f"a {int(n).bit_length()}-bit number"
+        raise RowTooLargeError(f"row too large: n={shown} exceeds cap {ROW_CAP}")
 
 
 @lru_cache(maxsize=128)
@@ -120,9 +123,12 @@ def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
         if all(residues[1:]):
             break
         precision *= 2
-    # witness: x(x+1)...(x+n-1) is n! at x = 1 and, for n >= 2, 0 at x = -1
-    if (sum(residues) - math.factorial(n)) % modulus or (
-        n >= 2 and (sum(residues[::2]) - sum(residues[1::2])) % modulus
+    # witness: x(x+1)...(x+n-1) is n! at x = 1, (n+1)! at x = 2 and, for n >= 2,
+    # 0 at x = -1; only x = 2 sees two same-parity residues moved by +1 and -1
+    if (
+        (sum(residues) - math.factorial(n)) % modulus
+        or (sum(r << k for k, r in enumerate(residues)) - math.factorial(n + 1)) % modulus
+        or (n >= 2 and (sum(residues[::2]) - sum(residues[1::2])) % modulus)
     ):
         raise InvariantError(f"valuation row {n} mod {p}^{precision} fails its witness sums")
     return (INFINITE, *(Valuation(_vp(p, r)) for r in residues[1:]))
@@ -144,7 +150,7 @@ def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
 
 def stirling1_shifted_row(m: int, n: int) -> tuple[int, ...]:
     """Coefficients of (x+m)(x+m+1)...(x+m+n-1), indexed by power of x."""
-    if m < 0:
+    if operator.index(m) < 0:
         raise DomainError(f"shift must be >= 0, got {m}")
     if n < 1:
         raise DomainError(f"shifted row requires n >= 1, got {n}")

@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -26,9 +25,9 @@ from .bigmath import (
     valuation_row,
 )
 from .errors import DomainError, RowTooLargeError, StirvalError, UsageError
-from .oracles import _cell, full_valuation_3, full_valuation_p, h_valuation
+from .oracles import _cell, _check_an, full_valuation_3, full_valuation_p, h_valuation
 from .padic import as_prime
-from .verify import SUITES, VerificationReport, sweep
+from .verify import SUITES, VerificationReport, check_identity11, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,6 +107,8 @@ def _cmd_val(args) -> int:
         formula = full_valuation_p(p, args.a, args.n, args.t)
         out["formula"] = str(formula)
     if args.method in ("exact", "both"):
+        if args.n < 0:
+            raise DomainError(f"n must be >= 0, got {args.n}")
         top = args.a * p.p**args.n
         if not 1 <= args.t <= top:
             raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {args.t}")
@@ -138,6 +139,7 @@ _TABLE_HEADER = ["a", "n", "t", "m", "k", "epsilon_k", "v3_formula", "v3_exact",
 
 
 def _table_rows(a: int, n: int) -> list[dict]:
+    _check_an(3, a, n)
     top = a * 3**n
     vals = valuation_row(3, top)
     out = []
@@ -209,9 +211,7 @@ def _cmd_harmonic(args) -> int:
     p = as_prime(args.p)
     h = harmonic_sym(args.n, args.k)
     val = h_valuation(p, args.n, args.k)
-    identity_ok = None
-    if args.check:
-        identity_ok = math.factorial(args.n) * h == stirling1(args.n + 1, args.k + 1)
+    identity_ok = check_identity11(args.n, args.k).passed if args.check else None
     if args.format == "json":
         doc = {
             "n": args.n,
@@ -281,6 +281,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_an(3, args.a, args.n)
     top = args.a * 3**args.n
     _check_row_cap(top)
     # warm anything the formula path caches (none today, but keep it honest)

@@ -11,6 +11,7 @@ and return deterministic, sorted reports.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -302,20 +303,28 @@ def _limit_keys(limits: dict, allowed: set[str], suite: str) -> None:
         )
 
 
-def _an_grid(limits: dict, default_n_max: int) -> list[tuple[int, int]]:
-    a_values = [limits["a"]] if "a" in limits else [1, 2]
-    if "n" in limits:
-        n_values = [limits["n"]]
-    else:
-        n_values = list(range(1, limits.get("n_max", default_n_max) + 1))
-    return [(a, n) for a in a_values for n in n_values]
+def _an_cells(
+    p: int, limits: dict, default_a: list[int], default_n_max: int
+) -> Iterator[tuple[int, int, int]]:
+    """The (a, n, a*p^n) cells of an a*p^n suite's grid, largest row first.
+
+    Every a is checked first, and n < 1 gives no cell.  Cells come lazily,
+    by n then a descending (a*p^n < p^(n+1)), so an over-cap grid is refused
+    at its first cell, before any row is built (reports sort their records).
+    """
+    a_values = sorted([limits["a"]] if "a" in limits else default_a, reverse=True)
+    for a in a_values:
+        _check_an(p, a, 1)
+    n_max = limits.get("n_max", default_n_max)
+    n_values = [limits["n"]] if "n" in limits else range(n_max, 0, -1)
+    return ((a, n, a * p**n) for n in n_values if n >= 1 for a in a_values)
 
 
 def _sweep_thm1(limits: dict) -> list[CheckRecord]:
     records = []
-    for a, n in _an_grid(limits, 6):
-        vals = valuation_row(3, a * 3**n)
-        for t in range(1, a * 3**n - 1):
+    for a, n, top in _an_cells(3, limits, [1, 2], 6):
+        vals = valuation_row(3, top)
+        for t in range(1, top - 1):
             q = decompose_p(_P3, a, n, t)
             records.append(
                 _record("thm1", {"a": a, "n": n, "t": t}, thm1_valuation(q), vals[t])
@@ -325,26 +334,21 @@ def _sweep_thm1(limits: dict) -> list[CheckRecord]:
 
 def _sweep_cor1(limits: dict) -> list[CheckRecord]:
     records = []
-    for a, n in _an_grid(limits, 6):
-        vals = valuation_row(3, a * 3**n)
-        k_top = min(2 * a * 3 ** (n - 1) + 1, a * 3**n - 1)
+    for a, n, top in _an_cells(3, limits, [1, 2], 6):
+        vals = valuation_row(3, top)
+        k_top = min(2 * a * 3 ** (n - 1) + 1, top - 1)
         for k in range(2, k_top + 1):
             records.append(
-                _record(
-                    "cor1",
-                    {"a": a, "n": n, "k": k},
-                    cor1_valuation(a, n, k),
-                    vals[a * 3**n - k],
-                )
+                _record("cor1", {"a": a, "n": n, "k": k}, cor1_valuation(a, n, k), vals[top - k])
             )
     return records
 
 
 def _sweep_thm2(limits: dict) -> list[CheckRecord]:
     records = []
-    for a, n in _an_grid(limits, 5):
-        vals_up = valuation_row(3, a * 3**n + 1)
-        for k in range(1, a * 3**n + 1):
+    for a, n, top in _an_cells(3, limits, [1, 2], 5):
+        vals_up = valuation_row(3, top + 1)
+        for k in range(1, top + 1):
             claim = thm2_shift_valuation(a, n, k)
             records.append(_record("thm2", {"a": a, "n": n, "k": k}, claim, vals_up[k + 1]))
     return records
@@ -352,8 +356,8 @@ def _sweep_thm2(limits: dict) -> list[CheckRecord]:
 
 def _sweep_thm34(limits: dict) -> list[CheckRecord]:
     records = []
-    for a, n in _an_grid(limits, 6):
-        peak = max(valuation_row(3, a * 3**n)[1:]).value
+    for a, n, top in _an_cells(3, limits, [1, 2], 6):
+        peak = max(valuation_row(3, top)[1:]).value
         bound = max_valuation_bound(a, n)
         records.append(_record("thm34", {"a": a, "n": n}, bound.value, peak))
     return records
@@ -371,8 +375,8 @@ def _sweep_lemma21(limits: dict) -> list[CheckRecord]:
 
 def _sweep_lemma22(limits: dict) -> list[CheckRecord]:
     records = []
-    for a, n in _an_grid(limits, 5):
-        for t in range(0, (a * 3**n - 2) // 2 + 1):
+    for a, n, top in _an_cells(3, limits, [1, 2], 5):
+        for t in range(0, (top - 2) // 2 + 1):
             records.append(check_lemma22(a, n, t))
     return records
 
@@ -401,8 +405,8 @@ def _sweep_lemma25(limits: dict) -> list[CheckRecord]:
 
 def _sweep_lemma26(limits: dict) -> list[CheckRecord]:
     records = []
-    for a, n in _an_grid(limits, 3):
-        for t in range(1, a * 3**n + 1):
+    for a, n, top in _an_cells(3, limits, [1, 2], 3):
+        for t in range(1, top + 1):
             records.append(check_lemma26(a, n, t))
     return records
 
@@ -426,23 +430,11 @@ def _sweep_congruence(limits: dict) -> list[CheckRecord]:
 def _sweep_conjecture13(limits: dict) -> list[CheckRecord]:
     p = as_prime(limits.get("p", 3))
     q, a = p.p, limits.get("a", 1)
-    # a only (sweep refuses an empty or n = 0 grid), and before the default
-    # budget below, whose loop never ends for a <= 0
-    _check_an(q, a, 1)
-    if "n" in limits:
-        n_values = [limits["n"]]
-    elif "n_max" in limits:
-        n_values = range(1, limits["n_max"] + 1)
-    else:
-        # default exploration budget: largest n with a*p^n <= 650
-        n_top = 0
-        while a * q ** (n_top + 1) <= 650:
-            n_top += 1
-        n_values = range(1, n_top + 1)
+    # default exploration budget: the largest n with a*p^n <= 650 (2^10 > 650)
+    budget = sum(1 for n in range(1, 11) if a * q**n <= 650)
     records = []
-    # largest row first, so a grid past ROW_CAP is refused before any row is built
-    for n in reversed(n_values):
-        vals = valuation_row(p, a * q**n)
+    for a, n, top in _an_cells(q, limits, [1], budget):
+        vals = valuation_row(p, top)
         for m in range(1, n + 1):
             k_top = min(a * (q - 1) * q ** (m - 1) + 1, a * q**m - 1)
             for k in range(2, k_top + 1):

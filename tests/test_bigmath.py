@@ -331,6 +331,19 @@ def test_valuation_row_edges_and_cap():
         valuation_row(3, -1)
     with pytest.raises(DomainError):
         valuation_row(4, 5)
+    with pytest.raises(RowTooLargeError, match="n=a 15851-bit number exceeds"):
+        valuation_row(3, 2 * 3**10_000)  # past str()'s 4300-digit limit
+
+
+def test_row_functions_refuse_a_non_int_index():
+    """A float would share an int's cache key, so it is refused even when cached."""
+    valuation_row(2, 1)  # the int rows are cached first
+    stirling1_row(2)
+    stirling1_shifted_row(1, 2)
+    for call in (lambda: valuation_row(2, 1.0), lambda: stirling1_row(2.0),
+                 lambda: stirling1_shifted_row(1, 2.0), lambda: stirling1_shifted_row(1.0, 2)):
+        with pytest.raises(TypeError):
+            call()
 
 
 _FORCED_DOUBLING = """
@@ -383,30 +396,44 @@ def test_valuation_row_doubling_survives_python_O():
 
 
 _CORRUPT_RESIDUE = """
+import math
+
 import stirval.bigmath as bigmath
 from stirval import InvariantError, valuation_row
 
 expand = bigmath._expand_rising
 
 
-def off_by_one(n, shift, modulus=0):
-    c = expand(n, shift, modulus)
-    if modulus:
-        c[n // 2 + 1] += 1  # one residue off by one; the row stays nonzero
-    return c
+def off_by_one(c, n, modulus):
+    c[n // 2 + 1] += 1  # one residue off by one; the row stays nonzero
 
 
-bigmath._expand_rising = off_by_one
-bigmath._cached_valuation_row.cache_clear()
+def same_parity_pair(c, n, modulus):
+    c[2] += 1  # the x = 1 and x = -1 sums stay right; only x = 2 sees it
+    c[4] -= 1
+    if (sum(c) - math.factorial(n)) % modulus or (sum(c[::2]) - sum(c[1::2])) % modulus:
+        raise SystemExit(f"the pair moved a x = +-1 sum at n={n}")
+
+
+cases = [(off_by_one, p, n) for p, n in [(2, 1), (2, 2), (3, 9), (5, 40), (3, 162)]]
+cases += [(same_parity_pair, p, n) for p, n in [(2, 8), (3, 9), (5, 40), (3, 162)]]
 try:
-    for p, n in [(2, 1), (2, 2), (3, 9), (5, 40), (3, 162)]:
+    for corrupt, p, n in cases:
+        def corrupted(n, shift, modulus=0):
+            c = expand(n, shift, modulus)
+            if modulus:
+                corrupt(c, n, modulus)
+            return c
+
+        bigmath._expand_rising = corrupted
+        bigmath._cached_valuation_row.cache_clear()
         try:
             valuation_row(p, n)
         except InvariantError as exc:
             if "witness" not in str(exc):
                 raise
         else:
-            raise SystemExit(f"valuation_row({p}, {n}) took a corrupted residue")
+            raise SystemExit(f"valuation_row({p}, {n}) took {corrupt.__name__}")
 finally:
     bigmath._expand_rising = expand
     bigmath._cached_valuation_row.cache_clear()
@@ -415,7 +442,8 @@ print("ok")
 
 
 def test_valuation_row_witness_refuses_a_corrupted_residue():
-    """The x = 1 and x = -1 sums catch one residue that is off by one."""
+    """The witness sums catch one residue off by one, and (x = 2 only) two
+    residues of the same parity moved by +1 and -1."""
     exec(compile(_CORRUPT_RESIDUE, "<corrupt-residue>", "exec"), {})
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -237,6 +239,33 @@ def test_verify_refuses_empty_grids(capsys):
                  ("verify", "conjecture13", "--p", "5", "--n", "0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and "no checks" in err, argv
+
+
+def _fresh_cli(*argv):
+    """Run the CLI in a new interpreter, so no row is cached yet."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "stirval.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("table", "--a", "1", "--n", "-1"), "error: n must be >= 1, got -1\n"),
+    (("val", "--p", "2", "--a", "2", "--n", "-1", "--t", "1", "--method", "exact"),
+     "error: n must be >= 0, got -1\n"),
+    (("bench", "--a", "1", "--n", "-1"), "error: n must be >= 1, got -1\n"),
+], ids=["table", "val-exact", "bench"])
+def test_negative_n_is_refused_in_a_fresh_process(argv, message):
+    proc = _fresh_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
+def test_val_exact_keeps_n0_and_out_of_range_a(capsys):
+    """n = 0 and a outside [1, p-1] still read the row s(a*p^n, .)."""
+    for argv, out in ((("--a", "1", "--n", "0", "--t", "1"), "0\n"),
+                      (("--a", "5", "--n", "1", "--t", "3"), "2\n")):
+        assert run_cli(capsys, "val", "--p", "3", "--method", "exact", *argv) == (0, out, "")
 
 
 #: Reports written by ``stirval verify`` before the JSON writer was replaced;

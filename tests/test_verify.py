@@ -24,7 +24,7 @@ from stirval import (
     sweep,
 )
 from stirval import bigmath
-from stirval.verify import _record
+from stirval.verify import _an_cells, _record
 
 
 def test_lemma21_examples():
@@ -138,13 +138,25 @@ def test_explore_conjecture13_examples():
     assert report.total == 3 and report.deviations == 0
 
 
+#: The suites whose grid is a set of (a, n) cells with one row a*p^n each.
+_AN_SUITES = ("thm1", "cor1", "thm2", "thm34", "lemma22", "lemma26", "conjecture13")
+
+
 def test_empty_grids_are_refused():
     for suite, limits in (("thm1", {"n_max": 0}), ("lemma22", {"a": 1, "n": 0}),
-                          ("conjecture13", {"p": 5, "n": 0}), ("lemma21", {"n_max": 1})):
+                          ("conjecture13", {"p": 5, "n": 0}), ("lemma21", {"n_max": 1}),
+                          *((suite, {"n": n}) for suite in _AN_SUITES for n in (0, -1))):
         with pytest.raises(UsageError, match="no checks"):
             sweep(suite, limits)
     with pytest.raises(UsageError, match="no checks"):
         explore_conjecture13(2, 1, 1)  # the p = 2, m = 1 cell is empty
+
+
+@pytest.mark.parametrize("a", [0, -1])
+@pytest.mark.parametrize("suite", _AN_SUITES)
+def test_an_grids_check_a_first(suite, a):
+    with pytest.raises(DomainError, match="a must satisfy"):
+        sweep(suite, {"a": a})
 
 
 def test_explore_guards():
@@ -158,8 +170,9 @@ def test_explore_guards():
         sweep("conjecture13", {"a": 0})  # no n limit: the default budget
 
 
-def test_over_cap_conjecture_grids_build_no_row(monkeypatch):
-    """The largest row is read first, so a grid past ROW_CAP builds nothing."""
+@pytest.fixture
+def expand_calls(monkeypatch):
+    """Every row build, recorded as (n, shift), from a cold valuation-row cache."""
     calls = []
     expand = bigmath._expand_rising
 
@@ -169,14 +182,38 @@ def test_over_cap_conjecture_grids_build_no_row(monkeypatch):
 
     monkeypatch.setattr(bigmath, "_expand_rising", counting_expand)
     bigmath._cached_valuation_row.cache_clear()
-    try:
-        with pytest.raises(RowTooLargeError, match="row too large"):
-            sweep("conjecture13", {"p": 5, "n_max": 6})
-        with pytest.raises(RowTooLargeError, match="row too large"):
-            explore_conjecture13(7, 1, 5)
-    finally:
-        bigmath._cached_valuation_row.cache_clear()
-    assert calls == []
+    yield calls
+    bigmath._cached_valuation_row.cache_clear()
+
+
+def test_over_cap_conjecture_grids_build_no_row(expand_calls):
+    """The largest row is read first, so a grid past ROW_CAP builds nothing."""
+    with pytest.raises(RowTooLargeError, match="row too large"):
+        sweep("conjecture13", {"p": 5, "n_max": 6})
+    with pytest.raises(RowTooLargeError, match="row too large"):
+        explore_conjecture13(7, 1, 5)
+    assert expand_calls == []
+
+
+@pytest.mark.parametrize("suite, n_max, error", [
+    *((suite, 8, RowTooLargeError) for suite in ("thm1", "cor1", "thm2", "thm34", "lemma22")),
+    ("lemma26", 5, DomainError),  # check_lemma26 refuses n > 4
+])
+def test_over_cap_an_grids_build_no_row(expand_calls, suite, n_max, error):
+    with pytest.raises(error):
+        sweep(suite, {"n_max": n_max})
+    assert expand_calls == []
+
+
+def test_huge_grids_are_refused_at_once(expand_calls):
+    """Cells are made lazily, largest first: neither the huge powers of the
+    grid nor any row is built before the refusal."""
+    for limits in ({"n_max": 10_000}, {"n": 10_000}):
+        with pytest.raises(RowTooLargeError, match="n=a 15851-bit number"):
+            sweep("thm1", limits)
+    assert expand_calls == []
+    cells = _an_cells(3, {"n_max": 1000}, [1, 2], 6)
+    assert not isinstance(cells, list) and next(cells) == (2, 1000, 2 * 3**1000)
 
 
 def test_report_counts_and_sorting():
