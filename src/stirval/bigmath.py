@@ -76,6 +76,17 @@ def _check_row_cap(n: int) -> None:
         raise RowTooLargeError(f"row too large: n={shown} exceeds cap {ROW_CAP}")
 
 
+def _row_top(p: int, a: int, n: int) -> int:
+    """The row index a*p**n of an (a, n) cell, for n >= 0.
+
+    Since p**n >= 2**n, an n with 2**n > ROW_CAP is refused as a row too
+    large before the power is formed, so an absurd n costs nothing.
+    """
+    if n >= ROW_CAP.bit_length():
+        raise RowTooLargeError(f"row too large: n={a}*{p}^{n} exceeds cap {ROW_CAP}")
+    return a * p**n
+
+
 @lru_cache(maxsize=128)
 def _cached_row(n: int, shift: int = 0) -> tuple[int, ...]:
     return tuple(_expand_rising(n, shift))

@@ -19,6 +19,7 @@ import time
 from .bigmath import (
     _cached_valuation_row,
     _check_row_cap,
+    _row_top,
     harmonic_sym,
     stirling1,
     stirling1_shifted,
@@ -109,7 +110,7 @@ def _cmd_val(args) -> int:
     if args.method in ("exact", "both"):
         if args.n < 0:
             raise DomainError(f"n must be >= 0, got {args.n}")
-        top = args.a * p.p**args.n
+        top = _row_top(p.p, args.a, args.n)
         if not 1 <= args.t <= top:
             raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {args.t}")
         exact = valuation_row(p, top)[args.t]
@@ -140,13 +141,14 @@ _TABLE_HEADER = ["a", "n", "t", "m", "k", "epsilon_k", "v3_formula", "v3_exact",
 
 def _table_rows(a: int, n: int) -> list[dict]:
     _check_an(3, a, n)
-    top = a * 3**n
+    top = _row_top(3, a, n)
     vals = valuation_row(3, top)
     out = []
     for t in range(1, top + 1):
         # the boundary indices above the tiled domain report the natural
         # k = a*3^n - t (1 or 0) under m = n
-        m, k = _cell(3, a, t) if t <= top - 2 else (n, top - t)
+        m, cell_top = _cell(3, a, t) if t <= top - 2 else (n, top)
+        k = cell_top - t
         formula = full_valuation_3(a, n, t)
         exact = vals[t]
         out.append(
@@ -282,7 +284,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     _check_an(3, args.a, args.n)
-    top = args.a * 3**args.n
+    top = _row_top(3, args.a, args.n)
     _check_row_cap(top)
     # warm anything the formula path caches (none today, but keep it honest)
     full_valuation_3(args.a, args.n, 1)

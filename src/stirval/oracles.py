@@ -8,8 +8,10 @@ module cross-checks differentially against exact rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_left
 from enum import Enum
+from functools import lru_cache
 
 from .bigmath import bernoulli, harmonic_sym
 from .errors import DomainError, InvariantError, UsageError
@@ -55,25 +57,67 @@ def _check_query(p: int, a: int, n: int, m: int, k: int) -> None:
         raise DomainError(f"a*p^m - k must be >= 1, got {a * p ** m - k}")
 
 
-@dataclass(frozen=True)
-class QueryP:
+class _Frozen:
+    """A slotted value: its fields are its ``__slots__``, set once when it is
+    built; it refuses assignment and compares and hashes by value."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+_set = object.__setattr__  # how a _Frozen value sets its own fields
+
+
+class QueryP(_Frozen):
     """Parameters (p, a, n, m, k) addressing v_p(s(a*p^n, a*p^m - k)).
 
     Domain: 1 <= a <= p-1, 1 <= m <= n, 2 <= k <= a(p-1)p^(m-1)+1,
     and a*p^m - k >= 1 (the target index must stay positive; at p = 3 this
     trims k = 3 out of the a = 1, m = 1 cell).  At p = 3 the k range is
-    Theorem 1's 2 <= k <= 2a*3^(m-1)+1.
+    Theorem 1's 2 <= k <= 2a*3^(m-1)+1.  The constructor checks the domain
+    and raises DomainError outside it.
     """
 
-    p: Prime
-    a: int
-    n: int
-    m: int
-    k: int
+    __slots__ = ("p", "a", "n", "m", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_prime(self.p))
-        _check_query(self.p.p, self.a, self.n, self.m, self.k)
+    def __new__(cls, p: int | Prime, a: int, n: int, m: int, k: int) -> "QueryP":
+        prime = as_prime(p)
+        _check_query(prime.p, a, n, m, k)
+        return cls._trusted(prime, a, n, m, k)
+
+    @classmethod
+    def _trusted(cls, p: Prime, a: int, n: int, m: int, k: int) -> "QueryP":
+        """A query whose domain the caller has already established: no check is re-run."""
+        self = object.__new__(cls)
+        _set(self, "p", p)
+        _set(self, "a", a)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "k", k)
+        return self
 
     @property
     def t(self) -> int:
@@ -97,58 +141,90 @@ class BoundKind(Enum):
     UPPER_BOUND = "upper_bound"
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Frozen):
     """A valuation answer that is exact or a one-sided bound."""
 
-    kind: BoundKind
-    value: Valuation
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: BoundKind, value: Valuation):
+        _set(self, "kind", kind)
+        _set(self, "value", value)
 
     def __str__(self) -> str:
         prefix = {"exact": "", "lower_bound": ">=", "upper_bound": "<="}[self.kind.value]
         return f"{prefix}{self.value}"
 
 
+#: Cell edges are tabled while a*q^m has at most this many bits; past the
+#: table m is estimated from t's bit length, so a huge n builds no O(n^2)-bit table.
+_CELL_TABLE_BITS = 64
+
+
+@lru_cache(maxsize=256)
+def _cell_edges(q: int, a: int) -> tuple[int, ...]:
+    """The cell edges a*q^m - 2 for m = 1, 2, ... while a*q^m fits the table."""
+    edges, cell_top = [], a * q
+    while cell_top.bit_length() <= _CELL_TABLE_BITS:
+        edges.append(cell_top - 2)
+        cell_top *= q
+    return tuple(edges)
+
+
 # Plain-int cores: the public oracle calling one has checked its arguments.
 def _cell(q: int, a: int, t: int) -> tuple[int, int]:
-    """(m, k) with t = a*q^m - k and a*q^(m-1) - 1 <= t <= a*q^m - 2; see decompose_p."""
-    m, cell_top = 1, a * q  # cell_top = a*q^m
-    while cell_top - 2 < t:
-        m += 1
-        cell_top *= q
-    k = cell_top - t
-    if k > a * (q - 1) * q ** (m - 1) + 1:
+    """(m, a*q^m) for the m with a*q^(m-1) - 1 <= t <= a*q^m - 2; see decompose_p.
+
+    k = a*q^m - t stays within a(q-1)q^(m-1) + 1 in every cell but the
+    first, where it does exactly when t >= a - 1.
+    """
+    if t < a - 1:
         raise DomainError(
             f"t={t} is below the bottom cell of the closed-form domain for p={q}, a={a}"
         )
-    return m, k
+    edges = _cell_edges(q, a)
+    i = bisect_left(edges, t)  # the first edge a*q^m - 2 >= t
+    if i < len(edges):
+        return i + 1, edges[i] + 2
+    # past the table: the least m with a*q^m >= x = t + 2.  With b the bit
+    # length of x, log_q(x/a) lies within 1/(2 log2 q) <= 1/2 of the midpoint
+    # (b - 1/2 - log2 a)/log2 q, so the estimate is off by at most one and
+    # one power and one step settle it
+    x = t + 2
+    m = max(1, math.ceil((x.bit_length() - 0.5 - math.log2(a)) / math.log2(q)))
+    cell_top = a * q**m
+    if cell_top < x:
+        return m + 1, cell_top * q
+    if m > 1 and cell_top >= q * x:  # a*q^(m-1) >= x
+        return m - 1, cell_top // q
+    return m, cell_top
 
 
-def _thm1(a: int, n: int, m: int, k: int) -> int:
-    """Theorem 1: v_3(s(a*3^n, a*3^m - k))."""
-    spread = a * (3**n - 3**m)
+def _thm1(n: int, m: int, k: int, top: int, cell_top: int) -> int:
+    """Theorem 1: v_3(s(top, cell_top - k)) for top = a*3^n and cell_top = a*3^m."""
+    spread = top - cell_top
     if spread % 2:
         raise InvariantError(f"a*(3^n - 3^m) = {spread} is odd")
-    val = spread // 2 - (n - m) * (a * 3**m - k) + m - 1 - _vp(3, k // 2)
+    val = spread // 2 - (n - m) * (cell_top - k) + m - 1 - _vp(3, k // 2)
     if k & 1:
         val += m + _vp(3, k)
     return val
 
 
-def _conjecture13(p: int, a: int, n: int, m: int, k: int) -> int:
-    """The conjectural form for v_p(s(a*p^n, a*p^m - k)); see conjecture13_valuation."""
+def _conjecture13(p: int, n: int, m: int, k: int, top: int, cell_top: int) -> int:
+    """The conjectural form for v_p(s(top, cell_top - k)), top = a*p^n and
+    cell_top = a*p^m; see conjecture13_valuation."""
     eps = k & 1
     if p == 2:
         # a is forced to 1; proven form with the parity weight (m-1) and a
         # flat -2 - v2(floor(k/2)) correction.
-        val = (2**n - 2**m) - (n - m) * (2**m - k) + m - 2 - _vp(2, k // 2)
+        val = (top - cell_top) - (n - m) * (cell_top - k) + m - 2 - _vp(2, k // 2)
         if eps:
             val += m - 1
         return val
-    spread = a * (p**n - p**m)
+    spread = top - cell_top
     if spread % (p - 1):
         raise InvariantError(f"a*(p^n - p^m) = {spread} is not divisible by p-1 = {p - 1}")
-    val = spread // (p - 1) - (n - m) * (a * p**m - k) + m
+    val = spread // (p - 1) - (n - m) * (cell_top - k) + m
     if eps:
         val += m + _vp(p, k)
     if (k - eps) % (p - 1) == 0:
@@ -165,21 +241,24 @@ def _full(q: int, a: int, n: int, top: int, t: int) -> int:
         # v_p(C(N, 2)) for N = a*p^n: n for odd p, n-1 for p = 2
         return n - 1 if q == 2 else n
     if q == 3:
-        return _thm1(a, n, *_cell(3, a, t))
+        m, cell_top = _cell(3, a, t)
+        return _thm1(n, m, cell_top - t, top, cell_top)
     if t == 1:
         return vp_factorial(q, top - 1).value
     try:
-        return _conjecture13(q, a, n, *_cell(q, a, t))
+        m, cell_top = _cell(q, a, t)
     except DomainError:
         raise DomainError(f"no closed form implemented for p={q}, a={a}, n={n}, t={t}; "
                           "use --method exact") from None
+    return _conjecture13(q, n, m, cell_top - t, top, cell_top)
 
 
 def thm1_valuation(q: QueryP) -> Valuation:
     """Closed form for v_3(s(a*3^n, a*3^m - k)) on the tiled (m, k) domain."""
     if q.p.p != 3:
         raise DomainError(f"Theorem 1 is the p = 3 form, got p={q.p}")
-    return Valuation(_thm1(q.a, q.n, q.m, q.k))
+    a, n, m = q.a, q.n, q.m
+    return Valuation(_thm1(n, m, q.k, a * 3**n, a * 3**m))
 
 
 def cor1_valuation(a: int, n: int, k: int) -> Valuation:
@@ -193,17 +272,20 @@ def cor1_valuation(a: int, n: int, k: int) -> Valuation:
 def decompose_p(p: int | Prime, a: int, n: int, t: int) -> QueryP:
     """Write t = a*p^m - k with (m, k) in the admissible set.
 
-    m is the unique integer with a*p^(m-1) - 1 <= t <= a*p^m - 2.  At p = 3
-    the cells tile [1, a*3^n - 2] exactly once each; for other p, raises
-    DomainError when no cell covers t (exactly when 1 <= t <= a-2, so
-    only for a >= 3).
+    m is the unique integer with a*p^(m-1) - 1 <= t <= a*p^m - 2, found in
+    a few integer operations whatever n is.  At p = 3 the cells tile
+    [1, a*3^n - 2] exactly once each; for other p, raises DomainError when
+    no cell covers t (exactly when 1 <= t <= a-2, so only for a >= 3).
+    The arguments are checked once: a cell found for a checked t lies in
+    the QueryP domain, so the query is built without re-running its checks.
     """
     prime = as_prime(p)
     q = prime.p
     _check_an(q, a, n)
     if not 1 <= t <= a * q**n - 2:
         raise DomainError(f"t must satisfy 1 <= t <= a*p^n - 2 = {a * q ** n - 2}, got {t}")
-    return QueryP(prime, a, n, *_cell(q, a, t))
+    m, cell_top = _cell(q, a, t)
+    return QueryP._trusted(prime, a, n, m, cell_top - t)
 
 
 def full_valuation_p(p: int | Prime, a: int, n: int, t: int) -> Valuation:
@@ -225,7 +307,11 @@ def full_valuation_p(p: int | Prime, a: int, n: int, t: int) -> Valuation:
 
 def full_valuation_3(a: int, n: int, t: int) -> Valuation:
     """Exact v_3(s(a*3^n, t)) for every t in [1, a*3^n]; see :func:`full_valuation_p`."""
-    return full_valuation_p(_P3, a, n, t)
+    _check_an(3, a, n)
+    top = a * 3**n
+    if not 1 <= t <= top:
+        raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {t}")
+    return Valuation(_full(3, a, n, top, t))
 
 
 def lengyel_special(variant: str, n: int) -> Valuation:
@@ -268,7 +354,8 @@ def conjecture13_valuation(q: QueryP) -> Valuation:
     form is used instead of a literal reading of the odd-p expression
     (see the ledger note on the p = 2 branch).
     """
-    return Valuation(_conjecture13(q.p.p, q.a, q.n, q.m, q.k))
+    p, a, n, m = q.p.p, q.a, q.n, q.m
+    return Valuation(_conjecture13(p, n, m, q.k, a * p**n, a * p**m))
 
 
 def thm2_shift_valuation(a: int, n: int, k: int) -> OracleResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
@@ -103,10 +104,15 @@ class Valuation:
         return self.value
 
     def __str__(self) -> str:
-        return "inf" if self._v is None else str(self._v)
+        if self._v is None:
+            return "inf"
+        try:
+            return str(self._v)
+        except ValueError:  # over str()'s int digit limit, which Decimal(int) does not have
+            return str(Decimal(self._v))
 
     def __repr__(self) -> str:
-        return f"Valuation({self._v!r})"
+        return "Valuation(None)" if self._v is None else f"Valuation({self})"
 
 
 #: The valuation of zero.

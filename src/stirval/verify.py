@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .bigmath import (
+    _row_top,
     binomial,
     harmonic_sym,
     stirling1,
@@ -310,14 +311,15 @@ def _an_cells(
 
     Every a is checked first, and n < 1 gives no cell.  Cells come lazily,
     by n then a descending (a*p^n < p^(n+1)), so an over-cap grid is refused
-    at its first cell, before any row is built (reports sort their records).
+    at its first cell, before any row is built (reports sort their records);
+    an n far past the cap is refused before its power is formed.
     """
     a_values = sorted([limits["a"]] if "a" in limits else default_a, reverse=True)
     for a in a_values:
         _check_an(p, a, 1)
     n_max = limits.get("n_max", default_n_max)
     n_values = [limits["n"]] if "n" in limits else range(n_max, 0, -1)
-    return ((a, n, a * p**n) for n in n_values if n >= 1 for a in a_values)
+    return ((a, n, _row_top(p, a, n)) for n in n_values if n >= 1 for a in a_values)
 
 
 def _sweep_thm1(limits: dict) -> list[CheckRecord]:

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -241,12 +243,12 @@ def test_verify_refuses_empty_grids(capsys):
         assert code == 1 and out == "" and "no checks" in err, argv
 
 
-def _fresh_cli(*argv):
+def _fresh_cli(*argv, flags=()):
     """Run the CLI in a new interpreter, so no row is cached yet."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-m", "stirval.cli", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "stirval.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -259,6 +261,42 @@ def _fresh_cli(*argv):
 def test_negative_n_is_refused_in_a_fresh_process(argv, message):
     proc = _fresh_cli(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
+def test_val_prints_a_valuation_past_the_int_digit_limit():
+    """v_3(s(3^9100, 1)) = (3^9100 - 1 - 2*9100)/2 has 4342 digits, past str()'s
+    default limit of 4300, which the interpreter is held to here."""
+    expected = (3**9100 - 1 - 2 * 9100) // 2
+    argv = ("val", "--p", "3", "--a", "1", "--n", "9100", "--t", "1")
+    flags = ("-X", "int_max_str_digits=4300")
+    plain = _fresh_cli(*argv, "--method", "formula", flags=flags)
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert len(plain.stdout) == 4343 and int(Decimal(plain.stdout)) == expected
+    doc = _fresh_cli(*argv, "--method", "formula", "--format", "json", flags=flags)
+    assert (doc.returncode, doc.stderr) == (0, "")
+    assert json.loads(doc.stdout) == {"p": 3, "a": 1, "n": 9100, "t": 1, "method": "formula",
+                                      "formula": plain.stdout.strip()}
+    both = _fresh_cli(*argv, flags=flags)  # the exact row is refused, not printed
+    assert (both.returncode, both.stdout) == (1, "")
+    assert both.stderr == "error: row too large: n=1*3^9100 exceeds cap 5000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--a", "1", "--n", "10000000"),
+    ("val", "--a", "1", "--n", "10000000", "--t", "1", "--method", "exact"),
+    ("bench", "--a", "1", "--n", "10000000"),
+    ("verify", "thm1", "--a", "1", "--n", "10000000"),
+], ids=["table", "val-exact", "bench", "verify"])
+def test_absurd_n_is_refused_before_its_power_is_formed(capsys, argv):
+    """3^(10^7) alone would take 2 MB and seconds; the refusal allocates neither."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (1, "", "error: row too large: n=1*3^10000000 exceeds cap 5000\n")
+    assert peak < 500_000
 
 
 def test_val_exact_keeps_n0_and_out_of_range_a(capsys):

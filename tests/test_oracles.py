@@ -1,17 +1,24 @@
+import copy
 import os
+import pickle
+import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import stirval
+import stirval.oracles as oracles
 from stirval import (
     INFINITE,
     BoundKind,
     DomainError,
+    OracleResult,
     QueryP,
     UsageError,
+    Valuation,
     conjecture13_valuation,
     cor1_valuation,
     decompose_p,
@@ -429,3 +436,136 @@ def test_conjecture13_against_valuation_rows_whole_domain(p):
                 decomposed += 1
             n += 1
     assert decomposed > 1000
+
+
+def _cell_by_loop(q, a, t):
+    """The cell (m, k) of t found by multiplying a*q up one power at a time."""
+    m, cell_top = 1, a * q
+    while cell_top - 2 < t:
+        m += 1
+        cell_top *= q
+    k = cell_top - t
+    if k > a * (q - 1) * q ** (m - 1) + 1:
+        raise DomainError(
+            f"t={t} is below the bottom cell of the closed-form domain for p={q}, a={a}"
+        )
+    return m, k
+
+
+def _cell_as_mk(q, a, t):
+    m, cell_top = oracles._cell(q, a, t)
+    return m, cell_top - t
+
+
+def _cell_edge_ts(q, a, m_max):
+    """Every t within 1 of a cell edge a*q^(m-1) - 1 or a*q^m - 2, m <= m_max."""
+    ts = set(range(1, a + 2))
+    for m in range(1, m_max + 1):
+        for edge in (a * q ** (m - 1) - 1, a * q**m - 2):
+            ts.update(t for t in (edge - 1, edge, edge + 1) if t >= 1)
+    return sorted(ts)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_cell_lookup_matches_the_multiply_up_loop(q):
+    """The tabled lookup and its past-the-table estimate find the cell the
+    loop finds, and refuse the t below the bottom cell with its message."""
+    rng = random.Random(q)
+    for a in range(1, q):
+        m_past_table = len(oracles._cell_edges(q, a)) + 4
+        ts = _cell_edge_ts(q, a, m_past_table)
+        ts += _cell_edge_ts(q, a, 202)[-12:]  # the edges near n = 200
+        ts += [rng.randint(1, a * q**200 - 2) for _ in range(20)]
+        for t in ts:
+            try:
+                expected = _cell_by_loop(q, a, t)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    oracles._cell(q, a, t)
+                assert str(got.value) == str(exc), (q, a, t)
+                continue
+            assert _cell_as_mk(q, a, t) == expected, (q, a, t)
+
+
+def test_cell_table_is_bounded():
+    """A huge n never grows the table: a*q^m stays within its bit bound."""
+    oracles._cell(3, 2, 2 * 3**5000 - 2)
+    for q, a in ((2, 1), (3, 2), (11, 10)):
+        edges = oracles._cell_edges(q, a)
+        assert edges and (edges[-1] + 2).bit_length() <= oracles._CELL_TABLE_BITS
+        assert ((edges[-1] + 2) * q).bit_length() > oracles._CELL_TABLE_BITS
+
+
+def test_cell_table_threads_from_cold():
+    """Threads that fill the cell table at once all see the loop's cells."""
+    cases = [(q, a, t) for q in (2, 3, 5, 7) for a in range(1, q)
+             for t in _cell_edge_ts(q, a, len(oracles._cell_edges(q, a)) + 2)]
+    expected = [_cell_by_loop(*case) if case[2] >= case[1] - 1 else None for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
+    try:
+        for _ in range(10):
+            oracles._cell_edges.cache_clear()
+            results = []
+            start = threading.Barrier(4)
+
+            def lookups():
+                start.wait()  # every thread meets the cold table
+                results.append([_cell_as_mk(*case) if want else None
+                                for case, want in zip(cases, expected)])
+
+            threads = [threading.Thread(target=lookups) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _query_fields(q):
+    return (q.p, q.a, q.n, q.m, q.k)
+
+
+def test_trusted_queryp_equals_checked_on_the_small_domain():
+    """decompose_p's unchecked build gives the query the checked constructor
+    gives, field for field, for every t of every small cell."""
+    built = 0
+    for p in (2, 3, 5, 7):
+        for a in range(1, p):
+            n = 1
+            while a * p**n <= 250:
+                for t in range(a - 1 if a > 1 else 1, a * p**n - 1):
+                    q = decompose_p(p, a, n, t)
+                    checked = QueryP(p, a, n, q.m, q.k)
+                    assert type(q) is QueryP and _query_fields(q) == _query_fields(checked)
+                    assert q == checked and hash(q) == hash(checked) and q.t == t
+                    built += 1
+                n += 1
+    assert built > 2000
+
+
+def test_queryp_and_oracle_result_are_immutable_values():
+    q = QueryP(3, 1, 2, 2, 3)
+    r = OracleResult(BoundKind.LOWER_BOUND, Valuation(2))
+    for obj, fields in ((q, ("p", "a", "n", "m", "k")), (r, ("kind", "value"))):
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert _query_fields(q) == (stirval.Prime(3), 1, 2, 2, 3)
+    assert (r.kind, r.value) == (BoundKind.LOWER_BOUND, 2)
+    same_q, same_r = QueryP(stirval.Prime(3), 1, 2, 2, 3), OracleResult(BoundKind.LOWER_BOUND, 2)
+    assert q == same_q and hash(q) == hash(same_q) and len({q, same_q}) == 1
+    assert r == same_r and hash(r) == hash(same_r) and len({r, same_r}) == 1
+    assert q != QueryP(3, 1, 2, 2, 4) and q != QueryP(3, 2, 2, 2, 3)
+    assert r != OracleResult(BoundKind.EXACT, 2) and r != OracleResult(BoundKind.LOWER_BOUND, 3)
+    assert q != (stirval.Prime(3), 1, 2, 2, 3) and r != q
+    for obj in (q, r):
+        assert pickle.loads(pickle.dumps(obj)) == obj and copy.copy(obj) == obj
+    assert repr(q) == "QueryP(p=Prime(p=3), a=1, n=2, m=2, k=3)"
+    assert repr(r) == "OracleResult(kind=<BoundKind.LOWER_BOUND: 'lower_bound'>, value=Valuation(2))"

@@ -174,6 +174,14 @@ def test_valuation_ordering_and_str():
     assert str(INFINITE) == "inf"
     assert str(Valuation(-2)) == "-2"
     assert Valuation(4) == 4 and Valuation(4) <= 4 and Valuation(4) > 3
+    assert (repr(INFINITE), repr(Valuation(-2))) == ("Valuation(None)", "Valuation(-2)")
+
+
+def test_valuation_str_past_the_int_digit_limit():
+    """str() refuses ints over 4300 digits by default; a valuation prints whole."""
+    v = Valuation(-(10**5000 - 1) // 9 * 7)  # -777...7, 5000 digits
+    digits = "-" + "7" * 5000
+    assert (str(v), repr(v)) == (digits, f"Valuation({digits})")
 
 
 def test_valuation_arithmetic():

@@ -209,11 +209,14 @@ def test_huge_grids_are_refused_at_once(expand_calls):
     """Cells are made lazily, largest first: neither the huge powers of the
     grid nor any row is built before the refusal."""
     for limits in ({"n_max": 10_000}, {"n": 10_000}):
-        with pytest.raises(RowTooLargeError, match="n=a 15851-bit number"):
+        with pytest.raises(RowTooLargeError, match=r"^row too large: n=2\*3\^10000 exceeds cap 5000$"):
             sweep("thm1", limits)
     assert expand_calls == []
-    cells = _an_cells(3, {"n_max": 1000}, [1, 2], 6)
-    assert not isinstance(cells, list) and next(cells) == (2, 1000, 2 * 3**1000)
+    cells = _an_cells(3, {"n_max": 12}, [1, 2], 6)
+    assert not isinstance(cells, list) and next(cells) == (2, 12, 2 * 3**12)
+    cells = _an_cells(3, {"n_max": 13}, [1, 2], 6)  # 2^13 > ROW_CAP: refused unformed
+    with pytest.raises(RowTooLargeError, match=r"^row too large: n=2\*3\^13 exceeds cap 5000$"):
+        next(cells)
 
 
 def test_report_counts_and_sorting():
