@@ -79,10 +79,10 @@ def _check_row_cap(n: int) -> None:
 def _row_top(p: int, a: int, n: int) -> int:
     """The row index a*p**n of an (a, n) cell, for n >= 0.
 
-    Since p**n >= 2**n, an n with 2**n > ROW_CAP is refused as a row too
-    large before the power is formed, so an absurd n costs nothing.
+    For a >= 1, a*p**n >= 2**n, so an n with 2**n > ROW_CAP is refused as a
+    row too large before the power is formed, so an absurd n costs nothing.
     """
-    if n >= ROW_CAP.bit_length():
+    if a >= 1 and n >= ROW_CAP.bit_length():
         raise RowTooLargeError(f"row too large: n={a}*{p}^{n} exceeds cap {ROW_CAP}")
     return a * p**n
 

@@ -8,10 +8,9 @@ module cross-checks differentially against exact rows.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from math import ceil, log2
 
 from .bigmath import bernoulli, harmonic_sym
 from .errors import DomainError, InvariantError, UsageError
@@ -57,41 +56,8 @@ def _check_query(p: int, a: int, n: int, m: int, k: int) -> None:
         raise DomainError(f"a*p^m - k must be >= 1, got {a * p ** m - k}")
 
 
-class _Frozen:
-    """A slotted value: its fields are its ``__slots__``, set once when it is
-    built; it refuses assignment and compares and hashes by value."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
-
-
-_set = object.__setattr__  # how a _Frozen value sets its own fields
-
-
-class QueryP(_Frozen):
+@dataclass(frozen=True, slots=True)
+class QueryP:
     """Parameters (p, a, n, m, k) addressing v_p(s(a*p^n, a*p^m - k)).
 
     Domain: 1 <= a <= p-1, 1 <= m <= n, 2 <= k <= a(p-1)p^(m-1)+1,
@@ -101,22 +67,25 @@ class QueryP(_Frozen):
     and raises DomainError outside it.
     """
 
-    __slots__ = ("p", "a", "n", "m", "k")
+    p: Prime
+    a: int
+    n: int
+    m: int
+    k: int
 
-    def __new__(cls, p: int | Prime, a: int, n: int, m: int, k: int) -> "QueryP":
-        prime = as_prime(p)
-        _check_query(prime.p, a, n, m, k)
-        return cls._trusted(prime, a, n, m, k)
+    def __post_init__(self):
+        object.__setattr__(self, "p", as_prime(self.p))
+        _check_query(self.p.p, self.a, self.n, self.m, self.k)
 
     @classmethod
     def _trusted(cls, p: Prime, a: int, n: int, m: int, k: int) -> "QueryP":
         """A query whose domain the caller has already established: no check is re-run."""
         self = object.__new__(cls)
-        _set(self, "p", p)
-        _set(self, "a", a)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "k", k)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
         return self
 
     @property
@@ -141,33 +110,16 @@ class BoundKind(Enum):
     UPPER_BOUND = "upper_bound"
 
 
-class OracleResult(_Frozen):
+@dataclass(frozen=True, slots=True)
+class OracleResult:
     """A valuation answer that is exact or a one-sided bound."""
 
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind: BoundKind, value: Valuation):
-        _set(self, "kind", kind)
-        _set(self, "value", value)
+    kind: BoundKind
+    value: Valuation
 
     def __str__(self) -> str:
         prefix = {"exact": "", "lower_bound": ">=", "upper_bound": "<="}[self.kind.value]
         return f"{prefix}{self.value}"
-
-
-#: Cell edges are tabled while a*q^m has at most this many bits; past the
-#: table m is estimated from t's bit length, so a huge n builds no O(n^2)-bit table.
-_CELL_TABLE_BITS = 64
-
-
-@lru_cache(maxsize=256)
-def _cell_edges(q: int, a: int) -> tuple[int, ...]:
-    """The cell edges a*q^m - 2 for m = 1, 2, ... while a*q^m fits the table."""
-    edges, cell_top = [], a * q
-    while cell_top.bit_length() <= _CELL_TABLE_BITS:
-        edges.append(cell_top - 2)
-        cell_top *= q
-    return tuple(edges)
 
 
 # Plain-int cores: the public oracle calling one has checked its arguments.
@@ -181,16 +133,12 @@ def _cell(q: int, a: int, t: int) -> tuple[int, int]:
         raise DomainError(
             f"t={t} is below the bottom cell of the closed-form domain for p={q}, a={a}"
         )
-    edges = _cell_edges(q, a)
-    i = bisect_left(edges, t)  # the first edge a*q^m - 2 >= t
-    if i < len(edges):
-        return i + 1, edges[i] + 2
-    # past the table: the least m with a*q^m >= x = t + 2.  With b the bit
-    # length of x, log_q(x/a) lies within 1/(2 log2 q) <= 1/2 of the midpoint
-    # (b - 1/2 - log2 a)/log2 q, so the estimate is off by at most one and
-    # one power and one step settle it
+    # m is the least m with a*q^m >= x = t + 2.  With b the bit length of x,
+    # log_q(x/a) lies within 1/(2 log2 q) <= 1/2 of the midpoint
+    # (b - 1/2 - log2 a)/log2 q, so the estimate is off by at most one (it
+    # is 0 at worst, when m = 1) and one power and one step settle it
     x = t + 2
-    m = max(1, math.ceil((x.bit_length() - 0.5 - math.log2(a)) / math.log2(q)))
+    m = ceil((x.bit_length() - 0.5 - log2(a)) / log2(q))
     cell_top = a * q**m
     if cell_top < x:
         return m + 1, cell_top * q
@@ -272,8 +220,8 @@ def cor1_valuation(a: int, n: int, k: int) -> Valuation:
 def decompose_p(p: int | Prime, a: int, n: int, t: int) -> QueryP:
     """Write t = a*p^m - k with (m, k) in the admissible set.
 
-    m is the unique integer with a*p^(m-1) - 1 <= t <= a*p^m - 2, found in
-    a few integer operations whatever n is.  At p = 3 the cells tile
+    m is the unique integer with a*p^(m-1) - 1 <= t <= a*p^m - 2, estimated
+    from t's bit length and corrected by at most one step, whatever n is.  At p = 3 the cells tile
     [1, a*3^n - 2] exactly once each; for other p, raises DomainError when
     no cell covers t (exactly when 1 <= t <= a-2, so only for a >= 3).
     The arguments are checked once: a cell found for a checked t lies in

@@ -300,10 +300,15 @@ def test_absurd_n_is_refused_before_its_power_is_formed(capsys, argv):
 
 
 def test_val_exact_keeps_n0_and_out_of_range_a(capsys):
-    """n = 0 and a outside [1, p-1] still read the row s(a*p^n, .)."""
+    """n = 0 and a outside [1, p-1] still read the row s(a*p^n, .); an a <= 0
+    has an empty row whatever n is, so it is refused for its t, not as too large."""
     for argv, out in ((("--a", "1", "--n", "0", "--t", "1"), "0\n"),
                       (("--a", "5", "--n", "1", "--t", "3"), "2\n")):
         assert run_cli(capsys, "val", "--p", "3", "--method", "exact", *argv) == (0, out, "")
+    for a, top in (("0", 0), ("-1", -(3**13))):
+        argv = ("val", "--p", "3", "--a", a, "--n", "13", "--t", "1", "--method", "exact")
+        message = f"error: t must satisfy 1 <= t <= a*p^n = {top}, got 1\n"
+        assert run_cli(capsys, *argv) == (1, "", message)
 
 
 #: Reports written by ``stirval verify`` before the JSON writer was replaced;

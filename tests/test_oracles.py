@@ -4,7 +4,6 @@ import pickle
 import random
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -468,12 +467,12 @@ def _cell_edge_ts(q, a, m_max):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
 def test_cell_lookup_matches_the_multiply_up_loop(q):
-    """The tabled lookup and its past-the-table estimate find the cell the
-    loop finds, and refuse the t below the bottom cell with its message."""
+    """The bit-length estimate finds the cell the loop finds, at every edge
+    up to a*q^m past 2^70 and near n = 200, and refuses the t below the
+    bottom cell with the loop's message."""
     rng = random.Random(q)
     for a in range(1, q):
-        m_past_table = len(oracles._cell_edges(q, a)) + 4
-        ts = _cell_edge_ts(q, a, m_past_table)
+        ts = _cell_edge_ts(q, a, 72)
         ts += _cell_edge_ts(q, a, 202)[-12:]  # the edges near n = 200
         ts += [rng.randint(1, a * q**200 - 2) for _ in range(20)]
         for t in ts:
@@ -485,44 +484,6 @@ def test_cell_lookup_matches_the_multiply_up_loop(q):
                 assert str(got.value) == str(exc), (q, a, t)
                 continue
             assert _cell_as_mk(q, a, t) == expected, (q, a, t)
-
-
-def test_cell_table_is_bounded():
-    """A huge n never grows the table: a*q^m stays within its bit bound."""
-    oracles._cell(3, 2, 2 * 3**5000 - 2)
-    for q, a in ((2, 1), (3, 2), (11, 10)):
-        edges = oracles._cell_edges(q, a)
-        assert edges and (edges[-1] + 2).bit_length() <= oracles._CELL_TABLE_BITS
-        assert ((edges[-1] + 2) * q).bit_length() > oracles._CELL_TABLE_BITS
-
-
-def test_cell_table_threads_from_cold():
-    """Threads that fill the cell table at once all see the loop's cells."""
-    cases = [(q, a, t) for q in (2, 3, 5, 7) for a in range(1, q)
-             for t in _cell_edge_ts(q, a, len(oracles._cell_edges(q, a)) + 2)]
-    expected = [_cell_by_loop(*case) if case[2] >= case[1] - 1 else None for case in cases]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
-    try:
-        for _ in range(10):
-            oracles._cell_edges.cache_clear()
-            results = []
-            start = threading.Barrier(4)
-
-            def lookups():
-                start.wait()  # every thread meets the cold table
-                results.append([_cell_as_mk(*case) if want else None
-                                for case, want in zip(cases, expected)])
-
-            threads = [threading.Thread(target=lookups) for _ in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-                assert not th.is_alive()
-            assert results == [expected] * 4
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def _query_fields(q):
@@ -551,12 +512,16 @@ def test_queryp_and_oracle_result_are_immutable_values():
     q = QueryP(3, 1, 2, 2, 3)
     r = OracleResult(BoundKind.LOWER_BOUND, Valuation(2))
     for obj, fields in ((q, ("p", "a", "n", "m", "k")), (r, ("kind", "value"))):
-        for name in (*fields, "extra"):
-            with pytest.raises(AttributeError):
-                setattr(obj, name, 1)
         for name in fields:
             with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+            with pytest.raises(AttributeError):
                 delattr(obj, name)
+        # a frozen slotted dataclass has no room for a new name; some CPython
+        # versions report that as a TypeError from the generated __setattr__
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = 1
+        assert not hasattr(obj, "extra")
     assert _query_fields(q) == (stirval.Prime(3), 1, 2, 2, 3)
     assert (r.kind, r.value) == (BoundKind.LOWER_BOUND, 2)
     same_q, same_r = QueryP(stirval.Prime(3), 1, 2, 2, 3), OracleResult(BoundKind.LOWER_BOUND, 2)
