@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -87,23 +88,63 @@ def _row_top(p: int, a: int, n: int) -> int:
     return a * p**n
 
 
-@lru_cache(maxsize=128)
-def _cached_row(n: int, shift: int = 0) -> tuple[int, ...]:
-    return tuple(_expand_rising(n, shift))
+#: Byte budget of the exact-row store, as counted by _row_bytes.  Two rows
+#: at ROW_CAP (19 MiB each, and 33 s to build on a 2-vCPU VM) fit, so
+#: repeated lookups in a cap-sized row never rebuild it; the 776 rows of one
+#: identity-report benchmark pass (seed 1001) take 1.6 MiB.
+_ROW_CACHE_BYTES = 64 << 20
+
+#: Exact rows by (n, shift), least recently used first, each held with its
+#: size; _rows_held is the sum of those sizes, at most _ROW_CACHE_BYTES.
+_rows: OrderedDict[tuple[int, int], tuple[tuple[int, ...], int]] = OrderedDict()
+_rows_held = 0
+_rows_lock = threading.Lock()
+
+
+def _row_bytes(row: tuple[int, ...]) -> int:
+    """Approximate bytes held by a row: each entry's magnitude, plus a tuple
+    slot and an int header (40 bytes together) per entry."""
+    return sum(40 + (v.bit_length() >> 3) for v in row)
+
+
+def _cached_row(n: int, shift: int) -> tuple[int, ...]:
+    """The exact row of (x+shift)...(x+shift+n-1), built once while it stays held."""
+    global _rows_held
+    key = (n, shift)
+    with _rows_lock:
+        held = _rows.get(key)
+        if held is not None:
+            _rows.move_to_end(key)
+            return held[0]
+    # built outside the lock, so one slow row does not hold up other lookups
+    row = tuple(_expand_rising(n, shift))
+    size = _row_bytes(row)
+    with _rows_lock:
+        held = _rows.get(key)
+        if held is not None:  # another thread stored it first: share its tuple
+            _rows.move_to_end(key)
+            return held[0]
+        _rows[key] = (row, size)
+        _rows_held += size
+        while _rows_held > _ROW_CACHE_BYTES:
+            _, (_, evicted) = _rows.popitem(last=False)
+            _rows_held -= evicted
+    return row
 
 
 def stirling1_row(n: int) -> tuple[int, ...]:
-    """Full unsigned row s(n, 0..n); cached per n.
+    """Full unsigned row s(n, 0..n); held in the exact-row store.
 
     Entry k is the coefficient of x**k in x(x+1)...(x+n-1), equivalently
     the number of permutations of n elements with k cycles.
     """
     _check_row_cap(n)
-    return _cached_row(n)
+    return _cached_row(n, 0)
 
 
 def stirling1(n: int, k: int) -> int:
     """Unsigned s(n, k), with s(n, k) = 0 for k > n or (k = 0, n >= 1)."""
+    n, k = operator.index(n), operator.index(k)
     if n < 0 or k < 0:
         raise DomainError(f"stirling1 requires n, k >= 0, got n={n}, k={k}")
     if k > n:
@@ -166,7 +207,7 @@ def stirling1_shifted_row(m: int, n: int) -> tuple[int, ...]:
     if n < 1:
         raise DomainError(f"shifted row requires n >= 1, got {n}")
     _check_row_cap(n)
-    return _cached_row(n, m) if m else _cached_row(n)  # m = 0 is the plain row
+    return _cached_row(n, m)  # m = 0 is the plain row
 
 
 def stirling1_shifted(m: int, n: int, k: int) -> int:
@@ -175,6 +216,7 @@ def stirling1_shifted(m: int, n: int, k: int) -> int:
     Unlike :func:`stirling1`, k > n is a domain error rather than 0 — the
     shifted numbers are only defined for 0 <= k <= n.
     """
+    n, k = operator.index(n), operator.index(k)
     if not 0 <= k <= n:
         raise DomainError(f"shifted Stirling number needs 0 <= k <= n, got k={k}, n={n}")
     return stirling1_shifted_row(m, n)[k]

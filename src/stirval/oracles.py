@@ -192,7 +192,9 @@ def _full(q: int, a: int, n: int, top: int, t: int) -> int:
         m, cell_top = _cell(3, a, t)
         return _thm1(n, m, cell_top - t, top, cell_top)
     if t == 1:
-        return vp_factorial(q, top - 1).value
+        # v_q((top-1)!) = (top-1 - digit sum)/(q-1), and top-1 = a*q^n - 1 has
+        # the base-q digits a-1 and then n digits q-1
+        return (top - a) // (q - 1) - n
     try:
         m, cell_top = _cell(q, a, t)
     except DomainError:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+from collections import OrderedDict
 from pathlib import Path
 from fractions import Fraction
 
@@ -96,15 +97,119 @@ def test_no_public_callable_takes_a_cap():
         assert "cap" not in params, name
 
 
-def test_plain_and_shifted_rows_share_one_cache():
-    bigmath._cached_row.cache_clear()
+#: The row kernel itself, taken before any test wraps it.
+_EXPAND = bigmath._expand_rising
+
+
+def _empty_row_store(monkeypatch, budget=None):
+    """Give the test an empty exact-row store (restored afterwards) and
+    return the list of (n, shift) rows it builds."""
+    monkeypatch.setattr(bigmath, "_rows", OrderedDict())
+    monkeypatch.setattr(bigmath, "_rows_held", 0)
+    if budget is not None:
+        monkeypatch.setattr(bigmath, "_ROW_CACHE_BYTES", budget)
+    builds = []
+
+    def counting_expand(n, shift, modulus=0):
+        builds.append((n, shift))
+        return _EXPAND(n, shift, modulus)
+
+    monkeypatch.setattr(bigmath, "_expand_rising", counting_expand)
+    return builds
+
+
+def _check_row_store():
+    """The held total is the sum of the held rows' sizes and within the
+    budget, and every held row is the fresh row of its key."""
+    held = bigmath._rows.items()
+    assert bigmath._rows_held == sum(size for _, (_, size) in held) <= bigmath._ROW_CACHE_BYTES
+    for (n, shift), (row, size) in held:
+        assert size == bigmath._row_bytes(row) and row == tuple(_EXPAND(n, shift))
+
+
+def test_plain_and_shifted_rows_share_one_cache(monkeypatch):
+    builds = _empty_row_store(monkeypatch)
+    assert stirling1_shifted_row(0, 7) is stirling1_row(7)  # one build, one hit
+    stirling1_shifted_row(2, 7)
+    assert builds == [(7, 0), (7, 2)]
+    assert list(bigmath._rows) == [(7, 0), (7, 2)]
+
+
+def test_row_store_stays_within_its_byte_budget(monkeypatch):
+    budget = 4 * bigmath._row_bytes(_EXPAND(30, 0))
+    builds = _empty_row_store(monkeypatch, budget)
+    rng = random.Random(9)
+    for _ in range(300):
+        n, shift = rng.randint(1, 40), rng.randint(0, 3)
+        assert stirling1_shifted_row(shift, n) == tuple(_EXPAND(n, shift))
+        _check_row_store()
+    assert len(builds) > len(set(builds))  # evicted rows were built again
+    assert len(bigmath._rows) > 1
+
+
+def test_row_store_evicts_the_least_recently_used_row(monkeypatch):
+    a, b, c, small = (20, 0), (20, 1), (20, 2), (10, 0)
+    sizes = {key: bigmath._row_bytes(_EXPAND(*key)) for key in (a, b, c, small)}
+    builds = _empty_row_store(monkeypatch, sizes[a] + sizes[b] + sizes[c])
+    for n, shift in (a, b, c, a):  # the second lookup of a is a hit
+        stirling1_shifted_row(shift, n)
+    stirling1_row(10)  # fits once b, now the least recently used, is gone
+    assert list(bigmath._rows) == [c, a, small]
+    _check_row_store()
+    # a row looked up again after its eviction is built afresh, and exact
+    assert stirling1_shifted_row(1, 20) == tuple(_EXPAND(20, 1))
+    assert builds == [a, b, c, small, b]
+
+
+def test_a_row_built_twice_at_once_is_shared(monkeypatch):
+    """When a second build of a row finishes first, both lookups return the
+    tuple stored first, so plain and m = 0 shifted rows stay one object."""
+    builds = _empty_row_store(monkeypatch)
+    expand, started, inner = bigmath._expand_rising, [], []
+
+    def racing_expand(n, shift, modulus=0):
+        if not started:  # the first build: another lookup of the row runs meanwhile
+            started.append(n)
+            inner.append(stirling1_row(n))
+        return expand(n, shift, modulus)
+
+    monkeypatch.setattr(bigmath, "_expand_rising", racing_expand)
+    outer = stirling1_shifted_row(0, 9)
+    assert outer is inner[0] is stirling1_row(9)
+    assert builds == [(9, 0), (9, 0)]
+    _check_row_store()
+
+
+def test_row_store_threads_share_it(monkeypatch):
+    """Threads that look rows up, build them and evict them at once must get
+    exact rows and leave a consistent store."""
+    budget = 3 * bigmath._row_bytes(_EXPAND(25, 0))  # a few rows, so evictions race
+    _empty_row_store(monkeypatch, budget)
+    rng = random.Random(11)
+    plans = [[(rng.randint(1, 40), rng.randint(0, 3)) for _ in range(60)] for _ in range(4)]
+    expected = {key: tuple(_EXPAND(*key)) for plan in plans for key in plan}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
     try:
-        assert stirling1_shifted_row(0, 7) is stirling1_row(7)
-        stirling1_shifted_row(2, 7)
-        info = bigmath._cached_row.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+        results = [[] for _ in plans]
+        threads = [
+            threading.Thread(
+                target=lambda plan=plan, out=out: out.extend(
+                    stirling1_shifted_row(shift, n) for n, shift in plan
+                )
+            )
+            for plan, out in zip(plans, results)
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
     finally:
-        bigmath._cached_row.cache_clear()
+        sys.setswitchinterval(interval)
+    for plan, out in zip(plans, results):
+        assert out == [expected[key] for key in plan]
+    _check_row_store()
 
 
 def test_bernoulli_values():
@@ -343,6 +448,14 @@ def test_row_functions_refuse_a_non_int_index():
     for call in (lambda: valuation_row(2, 1.0), lambda: stirling1_row(2.0),
                  lambda: stirling1_shifted_row(1, 2.0), lambda: stirling1_shifted_row(1.0, 2)):
         with pytest.raises(TypeError):
+            call()
+
+
+def test_single_values_refuse_a_non_int_index():
+    """A float n or k is refused before the k > n shortcut could answer 0."""
+    for call in (lambda: stirling1(2.5, 3), lambda: stirling1(3.0, 5), lambda: stirling1(3, 1.0),
+                 lambda: stirling1_shifted(1, 2.5, 3), lambda: stirling1_shifted(1, 3, 1.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import stirval
 import stirval.oracles as oracles
+import stirval.padic as padic
 from stirval import (
     INFINITE,
     BoundKind,
@@ -327,6 +328,24 @@ def test_boundary_column_values():
             assert vp_int(3, row[top - 1]) == n
     assert full_valuation_3(1, 3, 1) == (27 - 6 - 1) // 2
     assert vp_int(3, 0) == INFINITE
+
+
+def test_first_column_closed_form_for_other_primes(monkeypatch):
+    """At p != 3, t = 1 is v_p((a*p^n - 1)!), answered without a digit sum."""
+    for p in (2, 5, 7, 11):
+        for a in range(1, p):
+            for n in range(1, 31):
+                assert full_valuation_p(p, a, n, 1) == vp_factorial(p, a * p**n - 1), (p, a, n)
+    expected = vp_factorial(5, 5**20000 - 1)
+
+    def no_digit_sum(p, n):
+        raise RuntimeError("digit_sum called")
+
+    monkeypatch.setattr(padic, "digit_sum", no_digit_sum)
+    with pytest.raises(RuntimeError):
+        vp_factorial(5, 24)  # the patch is what vp_factorial calls
+    assert full_valuation_p(5, 1, 20000, 1) == expected
+    assert full_valuation_p(7, 3, 40000, 1) == (3 * 7**40000 - 3) // 6 - 40000
 
 
 #: One out-of-domain call per guard, with the DomainError message the
