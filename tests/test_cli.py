@@ -243,13 +243,18 @@ def test_verify_refuses_empty_grids(capsys):
         assert code == 1 and out == "" and "no checks" in err, argv
 
 
-def _fresh_cli(*argv, flags=()):
-    """Run the CLI in a new interpreter, so no row is cached yet."""
+def _fresh_python(*args):
+    """Run a new interpreter on this checkout's package, so no row is cached yet."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, *flags, "-m", "stirval.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _fresh_cli(*argv, flags=()):
+    """Run the CLI in a new interpreter."""
+    return _fresh_python(*flags, "-m", "stirval.cli", *argv)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -311,18 +316,49 @@ def test_val_exact_keeps_n0_and_out_of_range_a(capsys):
         assert run_cli(capsys, *argv) == (1, "", message)
 
 
-#: Reports written by ``stirval verify`` before the JSON writer was replaced;
-#: the report bytes must not change.
+#: Reports written by ``stirval verify``, one or more per suite, before the
+#: JSON writer and the grid order were changed; the report bytes must not change.
 _GOLDEN_REPORTS = [
     (["thm1", "--a", "1", "--n", "2", "--format", "json"], "verify_thm1_a1_n2.json"),
+    (["cor1", "--a", "1", "--n", "2", "--format", "json"], "verify_cor1_a1_n2.json"),
     (["thm2", "--a", "2", "--n", "2", "--format", "csv"], "verify_thm2_a2_n2.csv"),
+    (["thm34", "--n-max", "2", "--format", "csv"], "verify_thm34_n_max2.csv"),
+    (["lemma21", "--n-max", "6", "--format", "json"], "verify_lemma21_n_max6.json"),
+    (["lemma22", "--n-max", "2", "--format", "csv"], "verify_lemma22_n_max2.csv"),
+    (["lemma24", "--m-max", "2", "--n-max", "2", "--format", "csv"],
+     "verify_lemma24_m_max2_n_max2.csv"),
+    (["lemma25", "--m-max", "2", "--n-max", "2", "--format", "json"],
+     "verify_lemma25_m_max2_n_max2.json"),
     (["lemma26", "--n", "1", "--format", "json"], "verify_lemma26_n1.json"),
+    (["identity11", "--n-max", "4", "--format", "csv"], "verify_identity11_n_max4.csv"),
+    (["congruence", "--m-max", "3", "--n-max", "2", "--format", "json"],
+     "verify_congruence_m_max3_n_max2.json"),
     (["conjecture13", "--p", "5", "--n", "2", "--format", "json"], "verify_conjecture13_p5_n2.json"),
 ]
+
+_DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("argv, name", _GOLDEN_REPORTS)
 def test_verify_report_bytes_match_golden_files(capsys, argv, name):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert (code, err) == (0, "")
-    assert out.encode() == (Path(__file__).parent / "data" / name).read_bytes()
+    assert out.encode() == (_DATA / name).read_bytes()
+
+
+def test_golden_reports_hold_under_python_O():
+    """No verdict may rest on an ``assert``: every golden report, byte for byte,
+    from one fresh ``python -O`` process."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from stirval.cli import main\n"
+        "for argv, path in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['verify', *argv])\n"
+        "    if code or out.getvalue().encode() != open(path, 'rb').read():\n"
+        "        print(path, code)\n"
+    )
+    cases = json.dumps([[argv, str(_DATA / name)] for argv, name in _GOLDEN_REPORTS])
+    proc = _fresh_python("-O", "-c", script, cases)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
