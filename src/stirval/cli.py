@@ -27,7 +27,7 @@ from .bigmath import (
 )
 from .errors import DomainError, RowTooLargeError, StirvalError, UsageError
 from .oracles import _cell, _check_an, full_valuation_3, full_valuation_p, h_valuation
-from .padic import as_prime
+from .padic import _str, as_prime
 from .verify import SUITES, VerificationReport, check_identity11, sweep
 
 EXIT_OK = 0
@@ -87,10 +87,10 @@ def _cmd_stirling(args) -> int:
     else:
         value = stirling1_shifted(args.shift, args.n, args.k)
     if args.format == "json":
-        doc = {"n": args.n, "k": args.k, "m": args.shift, "value": str(value)}
+        doc = {"n": args.n, "k": args.k, "m": args.shift, "value": _str(value)}
         print(_json_doc(doc))
     else:
-        print(value)
+        print(_str(value))
     return EXIT_OK
 
 
@@ -112,7 +112,7 @@ def _cmd_val(args) -> int:
             raise DomainError(f"n must be >= 0, got {args.n}")
         top = _row_top(p.p, args.a, args.n)
         if not 1 <= args.t <= top:
-            raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {args.t}")
+            raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {_str(top)}, got {args.t}")
         exact = valuation_row(p, top)[args.t]
         out["exact"] = str(exact)
     if args.method == "both":

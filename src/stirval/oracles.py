@@ -14,7 +14,7 @@ from math import ceil, log2
 
 from .bigmath import bernoulli, harmonic_sym
 from .errors import DomainError, InvariantError, UsageError
-from .padic import Prime, Valuation, _vp, as_prime, vp_factorial, vp_rational
+from .padic import Prime, Valuation, _str, _vp, as_prime, vp_factorial, vp_rational
 
 __all__ = [
     "QueryP",
@@ -51,9 +51,9 @@ def _check_query(p: int, a: int, n: int, m: int, k: int) -> None:
         raise DomainError(f"m must satisfy 1 <= m <= n, got m={m}, n={n}")
     cap = a * (p - 1) * p ** (m - 1) + 1
     if not 2 <= k <= cap:
-        raise DomainError(f"k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = {cap}, got k={k}")
+        raise DomainError(f"k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = {_str(cap)}, got k={k}")
     if a * p**m - k < 1:
-        raise DomainError(f"a*p^m - k must be >= 1, got {a * p ** m - k}")
+        raise DomainError(f"a*p^m - k must be >= 1, got {_str(a * p ** m - k)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +233,7 @@ def decompose_p(p: int | Prime, a: int, n: int, t: int) -> QueryP:
     q = prime.p
     _check_an(q, a, n)
     if not 1 <= t <= a * q**n - 2:
-        raise DomainError(f"t must satisfy 1 <= t <= a*p^n - 2 = {a * q ** n - 2}, got {t}")
+        raise DomainError(f"t must satisfy 1 <= t <= a*p^n - 2 = {_str(a * q ** n - 2)}, got {t}")
     m, cell_top = _cell(q, a, t)
     return QueryP._trusted(prime, a, n, m, cell_top - t)
 
@@ -251,7 +251,7 @@ def full_valuation_p(p: int | Prime, a: int, n: int, t: int) -> Valuation:
     _check_an(q, a, n)
     top = a * q**n
     if not 1 <= t <= top:
-        raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {t}")
+        raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {_str(top)}, got {t}")
     return Valuation(_full(q, a, n, top, t))
 
 
@@ -260,7 +260,7 @@ def full_valuation_3(a: int, n: int, t: int) -> Valuation:
     _check_an(3, a, n)
     top = a * 3**n
     if not 1 <= t <= top:
-        raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {top}, got {t}")
+        raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {_str(top)}, got {t}")
     return Valuation(_full(3, a, n, top, t))
 
 
@@ -290,7 +290,7 @@ def komatsu_young_valuation(p: int | Prime, k: int, r: int, m: int) -> Valuation
     if k < 0 or r < 0 or m < 0:
         raise DomainError(f"k, r, m must be >= 0, got k={k}, r={r}, m={m}")
     if m >= prime.p**r:
-        raise DomainError(f"m must satisfy 0 <= m < p^r = {prime.p ** r}, got {m}")
+        raise DomainError(f"m must satisfy 0 <= m < p^r = {_str(prime.p ** r)}, got {_str(m)}")
     n = k * prime.p**r + m
     val = vp_factorial(prime, n).value - vp_factorial(prime, k).value - k * r
     return Valuation(val)
@@ -313,7 +313,7 @@ def thm2_shift_valuation(a: int, n: int, k: int) -> OracleResult:
     _check_an(3, a, n)
     top = a * 3**n
     if not 1 <= k <= top:
-        raise DomainError(f"k must satisfy 1 <= k <= a*3^n = {top}, got {k}")
+        raise DomainError(f"k must satisfy 1 <= k <= a*3^n = {_str(top)}, got {k}")
     if (k - a) % 2 == 0:
         return OracleResult(BoundKind.EXACT, Valuation(_full(3, a, n, top, k)))
     # k = top is even against a, so k + 1 <= top here

@@ -28,6 +28,18 @@ __all__ = [
 ]
 
 
+def _str(x) -> str:
+    """str(x), also for an int or a Fraction past str()'s int digit limit (4300
+    digits by default), whose digits then come from Decimal, which has none."""
+    try:
+        return str(x)
+    except ValueError:
+        if isinstance(x, Fraction):
+            num = _str(x.numerator)
+            return num if x.denominator == 1 else f"{num}/{_str(x.denominator)}"
+        return str(Decimal(x))
+
+
 @total_ordering
 class Valuation:
     """A p-adic valuation: a finite signed integer or positive infinity.
@@ -106,10 +118,10 @@ class Valuation:
     def __str__(self) -> str:
         if self._v is None:
             return "inf"
-        try:
+        try:  # str() inline: a call to _str per value slowed warm sweeps by a few percent
             return str(self._v)
-        except ValueError:  # over str()'s int digit limit, which Decimal(int) does not have
-            return str(Decimal(self._v))
+        except ValueError:  # past str()'s int digit limit
+            return _str(self._v)
 
     def __repr__(self) -> str:
         return "Valuation(None)" if self._v is None else f"Valuation({self})"

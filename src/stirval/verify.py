@@ -10,6 +10,7 @@ and return deterministic, sorted reports.
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from .oracles import (
     thm1_valuation,
     thm2_shift_valuation,
 )
-from .padic import Prime, as_prime, vp_int
+from .padic import Prime, _str, as_prime, vp_int
 
 __all__ = [
     "CheckRecord",
@@ -173,7 +174,10 @@ def _record(check_id: str, params: dict[str, int], expected, actual) -> CheckRec
         ok = actual <= expected.value
     else:
         ok = actual == expected.value
-    return CheckRecord(check_id, params, str(expected), str(actual), ok)
+    try:  # str() inline, as in Valuation.__str__
+        return CheckRecord(check_id, params, str(expected), str(actual), ok)
+    except ValueError:  # an int or Fraction past str()'s int digit limit
+        return CheckRecord(check_id, params, _str(expected), _str(actual), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +211,11 @@ def check_lemma24(m: int, n: int, k: int) -> CheckRecord:
     """
     if m < 0 or n < 1 or k < 0:
         raise DomainError(f"need m >= 0, n >= 1, k >= 0, got m={m}, n={n}, k={k}")
+    actual = stirling1(m + n, k)  # the largest row first: an over-cap m + n builds none
     row = stirling1_row(m)
     shifted = stirling1_shifted_row(m, n)
     conv = sum(row[i] * shifted[k - i] for i in range(max(0, k - n), min(k, m) + 1))
-    return _record("lemma24", {"m": m, "n": n, "k": k}, conv, stirling1(m + n, k))
+    return _record("lemma24", {"m": m, "n": n, "k": k}, conv, actual)
 
 
 def check_lemma25(m: int, n: int, k: int) -> CheckRecord:
@@ -255,7 +260,7 @@ def check_lemma22(a: int, n: int, t: int) -> CheckRecord:
     v_3(s(N, N-2t-1)) == v_3(s(N, N-2t)) + v_3(2t+1) + n for N = a*3^n.
     """
     _check_an(3, a, n)
-    top = a * 3**n
+    top = _row_top(3, a, n)
     if not 0 <= t <= (top - 2) // 2:
         raise DomainError(f"need 0 <= t <= (a*3^n - 2)/2 = {(top - 2) // 2}, got {t}")
     vals = valuation_row(3, top)
@@ -295,36 +300,32 @@ def check_lemma26(a: int, n: int, t: int) -> CheckRecord:
 # ---------------------------------------------------------------------------
 
 
-def _limit_keys(limits: dict, allowed: set[str], suite: str) -> None:
-    unknown = set(limits) - allowed
-    if unknown:
-        raise UsageError(
-            f"unknown limit(s) {sorted(unknown)} for suite {suite!r}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
 def _an_cells(
-    p: int, limits: dict, default_a: list[int], default_n_max: int
+    p: int, a: int | None, n: int | None, n_max: int
 ) -> Iterator[tuple[int, int, int]]:
     """The (a, n, a*p^n) cells of an a*p^n suite's grid, largest row first.
 
+    a = None means every a in [1, p-1], and n = None every n in [1, n_max].
     Every a is checked first, and n < 1 gives no cell.  Cells come lazily,
     by n then a descending (a*p^n < p^(n+1)), so an over-cap grid is refused
     at its first cell, before any row is built (reports sort their records);
     an n far past the cap is refused before its power is formed.
     """
-    a_values = sorted([limits["a"]] if "a" in limits else default_a, reverse=True)
-    for a in a_values:
-        _check_an(p, a, 1)
-    n_max = limits.get("n_max", default_n_max)
-    n_values = [limits["n"]] if "n" in limits else range(n_max, 0, -1)
+    a_values = range(p - 1, 0, -1) if a is None else [a]
+    for a_value in a_values:
+        _check_an(p, a_value, 1)
+    n_values = range(n_max, 0, -1) if n is None else [n]
     return ((a, n, _row_top(p, a, n)) for n in n_values if n >= 1 for a in a_values)
 
 
-def _sweep_thm1(limits: dict) -> list[CheckRecord]:
+# A sweep's keyword parameters are its limits, their defaults its grid.  All but
+# identity11 read their largest row first, so an over-cap grid builds no row;
+# identity11's harmonic row only steps upward, and the 650 cap bounds its refusal.
+
+
+def _sweep_thm1(a=None, n=None, n_max=6) -> list[CheckRecord]:
     records = []
-    for a, n, top in _an_cells(3, limits, [1, 2], 6):
+    for a, n, top in _an_cells(3, a, n, n_max):
         vals = valuation_row(3, top)
         for t in range(1, top - 1):
             q = decompose_p(_P3, a, n, t)
@@ -334,9 +335,9 @@ def _sweep_thm1(limits: dict) -> list[CheckRecord]:
     return records
 
 
-def _sweep_cor1(limits: dict) -> list[CheckRecord]:
+def _sweep_cor1(a=None, n=None, n_max=6) -> list[CheckRecord]:
     records = []
-    for a, n, top in _an_cells(3, limits, [1, 2], 6):
+    for a, n, top in _an_cells(3, a, n, n_max):
         vals = valuation_row(3, top)
         k_top = min(2 * a * 3 ** (n - 1) + 1, top - 1)
         for k in range(2, k_top + 1):
@@ -346,9 +347,9 @@ def _sweep_cor1(limits: dict) -> list[CheckRecord]:
     return records
 
 
-def _sweep_thm2(limits: dict) -> list[CheckRecord]:
+def _sweep_thm2(a=None, n=None, n_max=5) -> list[CheckRecord]:
     records = []
-    for a, n, top in _an_cells(3, limits, [1, 2], 5):
+    for a, n, top in _an_cells(3, a, n, n_max):
         vals_up = valuation_row(3, top + 1)
         for k in range(1, top + 1):
             claim = thm2_shift_valuation(a, n, k)
@@ -356,86 +357,78 @@ def _sweep_thm2(limits: dict) -> list[CheckRecord]:
     return records
 
 
-def _sweep_thm34(limits: dict) -> list[CheckRecord]:
+def _sweep_thm34(a=None, n=None, n_max=6) -> list[CheckRecord]:
     records = []
-    for a, n, top in _an_cells(3, limits, [1, 2], 6):
+    for a, n, top in _an_cells(3, a, n, n_max):
         peak = max(valuation_row(3, top)[1:]).value
         bound = max_valuation_bound(a, n)
         records.append(_record("thm34", {"a": a, "n": n}, bound.value, peak))
     return records
 
 
-def _sweep_lemma21(limits: dict) -> list[CheckRecord]:
-    n_max = limits.get("n_max", 40)
+def _sweep_lemma21(n_max=40) -> list[CheckRecord]:
     return [
         check_lemma21(n, k)
-        for n in range(2, n_max + 1)
+        for n in range(n_max, 1, -1)
         for k in range(1, n)
         if (n + k) % 2 == 1
     ]
 
 
-def _sweep_lemma22(limits: dict) -> list[CheckRecord]:
+def _sweep_lemma22(a=None, n=None, n_max=5) -> list[CheckRecord]:
     records = []
-    for a, n, top in _an_cells(3, limits, [1, 2], 5):
+    for a, n, top in _an_cells(3, a, n, n_max):
         for t in range(0, (top - 2) // 2 + 1):
             records.append(check_lemma22(a, n, t))
     return records
 
 
-def _sweep_lemma24(limits: dict) -> list[CheckRecord]:
-    m_max = limits.get("m_max", 15)
-    n_max = limits.get("n_max", 15)
+def _sweep_lemma24(m_max=15, n_max=15) -> list[CheckRecord]:
     return [
         check_lemma24(m, n, k)
-        for m in range(0, m_max + 1)
-        for n in range(1, n_max + 1)
+        for m in range(m_max, -1, -1)
+        for n in range(n_max, 0, -1)
         for k in range(0, m + n + 1)
     ]
 
 
-def _sweep_lemma25(limits: dict) -> list[CheckRecord]:
-    m_max = limits.get("m_max", 12)
-    n_max = limits.get("n_max", 12)
+def _sweep_lemma25(m_max=12, n_max=12) -> list[CheckRecord]:
     return [
         check_lemma25(m, n, k)
-        for m in range(0, m_max + 1)
-        for n in range(1, n_max + 1)
+        for m in range(m_max, -1, -1)
+        for n in range(n_max, 0, -1)
         for k in range(0, n + 1)
     ]
 
 
-def _sweep_lemma26(limits: dict) -> list[CheckRecord]:
+def _sweep_lemma26(a=None, n=None, n_max=3) -> list[CheckRecord]:
     records = []
-    for a, n, top in _an_cells(3, limits, [1, 2], 3):
+    for a, n, top in _an_cells(3, a, n, n_max):
         for t in range(1, top + 1):
             records.append(check_lemma26(a, n, t))
     return records
 
 
-def _sweep_identity11(limits: dict) -> list[CheckRecord]:
-    n_max = limits.get("n_max", 60)
+def _sweep_identity11(n_max=60) -> list[CheckRecord]:
     return [check_identity11(n, k) for n in range(1, n_max + 1) for k in range(0, n + 1)]
 
 
-def _sweep_congruence(limits: dict) -> list[CheckRecord]:
-    m_max = limits.get("m_max", 20)
-    n_max = limits.get("n_max", 20)
+def _sweep_congruence(m_max=20, n_max=20) -> list[CheckRecord]:
     return [
         check_congruence(m, n, k)
-        for m in range(1, m_max + 1)
-        for n in range(1, n_max + 1)
+        for m in range(m_max, 0, -1)
+        for n in range(n_max, 0, -1)
         for k in range(0, n + 1)
     ]
 
 
-def _sweep_conjecture13(limits: dict) -> list[CheckRecord]:
-    p = as_prime(limits.get("p", 3))
-    q, a = p.p, limits.get("a", 1)
-    # default exploration budget: the largest n with a*p^n <= 650 (2^10 > 650)
-    budget = sum(1 for n in range(1, 11) if a * q**n <= 650)
+def _sweep_conjecture13(p=3, a=1, n=None, n_max=None) -> list[CheckRecord]:
+    p = as_prime(p)
+    q = p.p
+    if n_max is None:  # default exploration budget: the largest n with a*p^n <= 650 (2^10 > 650)
+        n_max = sum(1 for i in range(1, 11) if a * q**i <= 650)
     records = []
-    for a, n, top in _an_cells(q, limits, [1], budget):
+    for a, n, top in _an_cells(q, a, n, n_max):
         vals = valuation_row(p, top)
         for m in range(1, n + 1):
             k_top = min(a * (q - 1) * q ** (m - 1) + 1, a * q**m - 1)
@@ -453,18 +446,18 @@ def _sweep_conjecture13(limits: dict) -> list[CheckRecord]:
 
 
 _SWEEPS = {
-    "thm1": (_sweep_thm1, {"a", "n", "n_max"}),
-    "cor1": (_sweep_cor1, {"a", "n", "n_max"}),
-    "thm2": (_sweep_thm2, {"a", "n", "n_max"}),
-    "thm34": (_sweep_thm34, {"a", "n", "n_max"}),
-    "lemma21": (_sweep_lemma21, {"n_max"}),
-    "lemma22": (_sweep_lemma22, {"a", "n", "n_max"}),
-    "lemma24": (_sweep_lemma24, {"m_max", "n_max"}),
-    "lemma25": (_sweep_lemma25, {"m_max", "n_max"}),
-    "lemma26": (_sweep_lemma26, {"a", "n", "n_max"}),
-    "identity11": (_sweep_identity11, {"n_max"}),
-    "congruence": (_sweep_congruence, {"m_max", "n_max"}),
-    "conjecture13": (_sweep_conjecture13, {"p", "a", "n", "n_max"}),
+    "thm1": _sweep_thm1,
+    "cor1": _sweep_cor1,
+    "thm2": _sweep_thm2,
+    "thm34": _sweep_thm34,
+    "lemma21": _sweep_lemma21,
+    "lemma22": _sweep_lemma22,
+    "lemma24": _sweep_lemma24,
+    "lemma25": _sweep_lemma25,
+    "lemma26": _sweep_lemma26,
+    "identity11": _sweep_identity11,
+    "congruence": _sweep_congruence,
+    "conjecture13": _sweep_conjecture13,
 }
 
 #: Valid suite names, in a stable order.
@@ -473,13 +466,20 @@ SUITES = tuple(_SWEEPS)
 
 def sweep(suite: str, limits: dict | None = None) -> VerificationReport:
     """Run one suite exhaustively over its (possibly limited) grid; a grid
-    with no checks is refused, never passed."""
+    with no checks is refused, never passed.  A suite's limits are the
+    keyword parameters of its sweep."""
     if suite not in _SWEEPS:
         raise UsageError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
-    fn, allowed = _SWEEPS[suite]
+    fn = _SWEEPS[suite]
     limits = dict(limits or {})
-    _limit_keys(limits, allowed, suite)
-    records = fn(limits)
+    allowed = inspect.signature(fn).parameters
+    unknown = set(limits) - set(allowed)
+    if unknown:
+        raise UsageError(
+            f"unknown limit(s) {sorted(unknown)} for suite {suite!r}; "
+            f"allowed: {sorted(allowed)}"
+        )
+    records = fn(**limits)
     if not records:
         grid = ", ".join(f"{k}={v}" for k, v in sorted(limits.items())) or "defaults"
         raise UsageError(f"suite {suite!r} has no checks on the grid ({grid})")

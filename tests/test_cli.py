@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -257,6 +258,26 @@ def _fresh_cli(*argv, flags=()):
     return _fresh_python(*flags, "-m", "stirval.cli", *argv)
 
 
+_MAIN_EACH = """\
+import contextlib, io, json, sys
+from stirval.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        results.append([main(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _fresh_main(argvs, flags=()):
+    """Run the CLI on each argv in turn in one new interpreter; returns
+    (exit code, stdout, stderr) for each."""
+    proc = _fresh_python(*flags, "-c", _MAIN_EACH, json.dumps(argvs))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return [tuple(result) for result in json.loads(proc.stdout)]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("table", "--a", "1", "--n", "-1"), "error: n must be >= 1, got -1\n"),
     (("val", "--p", "2", "--a", "2", "--n", "-1", "--t", "1", "--method", "exact"),
@@ -284,6 +305,27 @@ def test_val_prints_a_valuation_past_the_int_digit_limit():
     both = _fresh_cli(*argv, flags=flags)  # the exact row is refused, not printed
     assert (both.returncode, both.stdout) == (1, "")
     assert both.stderr == "error: row too large: n=1*3^9100 exceeds cap 5000\n"
+
+
+def test_big_integers_print_past_the_int_digit_limit():
+    """s(2000, 1) = 1999! (5,736 digits), s_M(3, 0) = M(M+1)(M+2) for a
+    1,501-digit M, and the bound 3^9100 of a DomainError all pass str()'s
+    default limit of 4300 digits, which the interpreter is held to here."""
+    value = str(Decimal(math.factorial(1999)))
+    shift = 10**1500
+    results = _fresh_main([
+        ["stirling", "2000", "1"],
+        ["stirling", "2000", "1", "--format", "json"],
+        ["stirling", "3", "0", "--shift", str(shift)],
+        ["val", "--p", "3", "--a", "1", "--n", "9100", "--t", "0", "--method", "formula"],
+    ], flags=("-X", "int_max_str_digits=4300"))
+    doc = json.dumps({"n": 2000, "k": 1, "m": None, "value": value}, indent=2)
+    assert results == [
+        (0, value + "\n", ""),
+        (0, doc + "\n", ""),
+        (0, f"{Decimal(shift * (shift + 1) * (shift + 2))}\n", ""),
+        (1, "", f"error: t must satisfy 1 <= t <= a*p^n = {Decimal(3**9100)}, got 0\n"),
+    ]
 
 
 @pytest.mark.parametrize("argv", [
@@ -320,8 +362,10 @@ def test_val_exact_keeps_n0_and_out_of_range_a(capsys):
 #: JSON writer and the grid order were changed; the report bytes must not change.
 _GOLDEN_REPORTS = [
     (["thm1", "--a", "1", "--n", "2", "--format", "json"], "verify_thm1_a1_n2.json"),
-    (["cor1", "--a", "1", "--n", "2", "--format", "json"], "verify_cor1_a1_n2.json"),
     (["thm2", "--a", "2", "--n", "2", "--format", "csv"], "verify_thm2_a2_n2.csv"),
+    (["lemma26", "--n", "1", "--format", "json"], "verify_lemma26_n1.json"),
+    (["conjecture13", "--p", "5", "--n", "2", "--format", "json"], "verify_conjecture13_p5_n2.json"),
+    (["cor1", "--a", "1", "--n", "2", "--format", "json"], "verify_cor1_a1_n2.json"),
     (["thm34", "--n-max", "2", "--format", "csv"], "verify_thm34_n_max2.csv"),
     (["lemma21", "--n-max", "6", "--format", "json"], "verify_lemma21_n_max6.json"),
     (["lemma22", "--n-max", "2", "--format", "csv"], "verify_lemma22_n_max2.csv"),
@@ -329,11 +373,9 @@ _GOLDEN_REPORTS = [
      "verify_lemma24_m_max2_n_max2.csv"),
     (["lemma25", "--m-max", "2", "--n-max", "2", "--format", "json"],
      "verify_lemma25_m_max2_n_max2.json"),
-    (["lemma26", "--n", "1", "--format", "json"], "verify_lemma26_n1.json"),
     (["identity11", "--n-max", "4", "--format", "csv"], "verify_identity11_n_max4.csv"),
     (["congruence", "--m-max", "3", "--n-max", "2", "--format", "json"],
      "verify_congruence_m_max3_n_max2.json"),
-    (["conjecture13", "--p", "5", "--n", "2", "--format", "json"], "verify_conjecture13_p5_n2.json"),
 ]
 
 _DATA = Path(__file__).parent / "data"
@@ -349,16 +391,7 @@ def test_verify_report_bytes_match_golden_files(capsys, argv, name):
 def test_golden_reports_hold_under_python_O():
     """No verdict may rest on an ``assert``: every golden report, byte for byte,
     from one fresh ``python -O`` process."""
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from stirval.cli import main\n"
-        "for argv, path in json.loads(sys.argv[1]):\n"
-        "    out = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out):\n"
-        "        code = main(['verify', *argv])\n"
-        "    if code or out.getvalue().encode() != open(path, 'rb').read():\n"
-        "        print(path, code)\n"
-    )
-    cases = json.dumps([[argv, str(_DATA / name)] for argv, name in _GOLDEN_REPORTS])
-    proc = _fresh_python("-O", "-c", script, cases)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    results = _fresh_main([["verify", *argv] for argv, _ in _GOLDEN_REPORTS], flags=("-O",))
+    for (code, out, err), (_, name) in zip(results, _GOLDEN_REPORTS):
+        assert (code, err) == (0, ""), name
+        assert out.encode() == (_DATA / name).read_bytes(), name

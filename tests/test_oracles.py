@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,28 @@ def test_domain_error_messages_are_unchanged(name, args, message):
     with pytest.raises(DomainError) as exc:
         getattr(stirval, name)(*args)
     assert str(exc.value) == message
+
+
+_BIG = 3**9100  # over 4300 digits, str()'s default limit for an int
+
+
+@pytest.mark.parametrize("name, args, head, bound", [
+    ("thm2_shift_valuation", (1, 9100, 0), "k must satisfy 1 <= k <= a*3^n = ", _BIG),
+    ("full_valuation_3", (1, 9100, 0), "t must satisfy 1 <= t <= a*p^n = ", _BIG),
+    ("full_valuation_p", (3, 1, 9100, 0), "t must satisfy 1 <= t <= a*p^n = ", _BIG),
+    ("decompose_p", (3, 1, 9100, 0), "t must satisfy 1 <= t <= a*p^n - 2 = ", _BIG - 2),
+    ("cor1_valuation", (1, 9100, 1), "k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = ",
+     2 * _BIG // 3 + 1),
+    ("QueryP", (3, 1, 9100, 9100, 1), "k must satisfy 2 <= k <= a(p-1)p^(m-1)+1 = ",
+     2 * _BIG // 3 + 1),
+    ("komatsu_young_valuation", (3, 1, 9100, _BIG), "m must satisfy 0 <= m < p^r = ", _BIG),
+], ids=["thm2_shift_valuation", "full_valuation_3", "full_valuation_p", "decompose_p",
+        "cor1_valuation", "QueryP", "komatsu_young_valuation"])
+def test_domain_errors_print_bounds_past_the_int_digit_limit(name, args, head, bound):
+    with pytest.raises(DomainError) as exc:
+        getattr(stirval, name)(*args)
+    message = str(exc.value)
+    assert message.startswith(head) and message[len(head):].startswith(f"{Decimal(bound)}, ")
 
 
 def test_thm1_refuses_other_primes_with_its_message():

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
 from stirval import (
     INFINITE,
+    SUITES,
     BoundKind,
     CheckRecord,
     DomainError,
@@ -130,6 +133,36 @@ def test_sweep_rejects_unknown_suite_and_limits():
         sweep("thm1", {"m_max": 3})
 
 
+#: Each suite with the limits it allows, as its refusal of an unknown limit lists them.
+_ALLOWED_LIMITS = [
+    ("thm1", "['a', 'n', 'n_max']"),
+    ("cor1", "['a', 'n', 'n_max']"),
+    ("thm2", "['a', 'n', 'n_max']"),
+    ("thm34", "['a', 'n', 'n_max']"),
+    ("lemma21", "['n_max']"),
+    ("lemma22", "['a', 'n', 'n_max']"),
+    ("lemma24", "['m_max', 'n_max']"),
+    ("lemma25", "['m_max', 'n_max']"),
+    ("lemma26", "['a', 'n', 'n_max']"),
+    ("identity11", "['n_max']"),
+    ("congruence", "['m_max', 'n_max']"),
+    ("conjecture13", "['a', 'n', 'n_max', 'p']"),
+]
+
+
+def test_every_suite_is_listed_with_its_limits():
+    assert tuple(suite for suite, _ in _ALLOWED_LIMITS) == SUITES
+
+
+@pytest.mark.parametrize("suite, allowed", _ALLOWED_LIMITS)
+def test_unknown_limits_are_refused_with_the_allowed_ones(suite, allowed):
+    with pytest.raises(UsageError) as info:
+        sweep(suite, {"bogus": 1})
+    assert str(info.value) == (
+        f"unknown limit(s) ['bogus'] for suite {suite!r}; allowed: {allowed}"
+    )
+
+
 def test_explore_conjecture13_examples():
     assert explore_conjecture13(3, 1, 3).deviations == 0
     report = explore_conjecture13(2, 1, 5)
@@ -172,7 +205,10 @@ def test_explore_guards():
 
 @pytest.fixture
 def expand_calls(monkeypatch):
-    """Every row build, recorded as (n, shift), from a cold valuation-row cache."""
+    """Every row build, recorded as (n, shift), from a cold exact-row store and
+    a cold valuation-row cache."""
+    monkeypatch.setattr(bigmath, "_rows", OrderedDict())
+    monkeypatch.setattr(bigmath, "_rows_held", 0)
     calls = []
     expand = bigmath._expand_rising
 
@@ -205,6 +241,34 @@ def test_over_cap_an_grids_build_no_row(expand_calls, suite, n_max, error):
     assert expand_calls == []
 
 
+@pytest.mark.parametrize("suite, limits", [
+    ("lemma21", {"n_max": 21}),
+    ("lemma24", {"m_max": 12, "n_max": 12}),  # only the rows s(m+n, .) pass the cap
+    ("lemma25", {"n_max": 21}),
+    ("congruence", {"n_max": 21}),
+])
+def test_over_cap_identity_grids_build_no_row(expand_calls, monkeypatch, suite, limits):
+    """The identity suites read their largest row first, so a grid past the cap
+    is refused before any row is built."""
+    monkeypatch.setattr(bigmath, "ROW_CAP", 20)
+    with pytest.raises(RowTooLargeError, match="row too large"):
+        sweep(suite, limits)
+    assert expand_calls == []
+
+
+def test_check_lemma22_refuses_an_absurd_n_before_its_power_is_formed():
+    """3^(10^6) alone would take 0.2 MB and 0.1 s; the refusal allocates neither."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(RowTooLargeError) as info:
+            check_lemma22(1, 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "row too large: n=1*3^1000000 exceeds cap 5000"
+    assert peak < 500_000
+
+
 def test_huge_grids_are_refused_at_once(expand_calls):
     """Cells are made lazily, largest first: neither the huge powers of the
     grid nor any row is built before the refusal."""
@@ -212,9 +276,9 @@ def test_huge_grids_are_refused_at_once(expand_calls):
         with pytest.raises(RowTooLargeError, match=r"^row too large: n=2\*3\^10000 exceeds cap 5000$"):
             sweep("thm1", limits)
     assert expand_calls == []
-    cells = _an_cells(3, {"n_max": 12}, [1, 2], 6)
+    cells = _an_cells(3, None, None, 12)
     assert not isinstance(cells, list) and next(cells) == (2, 12, 2 * 3**12)
-    cells = _an_cells(3, {"n_max": 13}, [1, 2], 6)  # 2^13 > ROW_CAP: refused unformed
+    cells = _an_cells(3, None, None, 13)  # 2^13 > ROW_CAP: refused unformed
     with pytest.raises(RowTooLargeError, match=r"^row too large: n=2\*3\^13 exceeds cap 5000$"):
         next(cells)
 
@@ -304,3 +368,12 @@ def test_record_compares_typed_claims():
     rec = _record("x", {}, Fraction(13, 2), 6)
     assert (rec.expected, rec.passed) == ("13/2", False)
     assert not _record("x", {}, Valuation(0), INFINITE).passed
+
+
+def test_record_prints_values_past_the_int_digit_limit():
+    """str() refuses an int of more than 4300 digits by default; a record does not."""
+    digits = "1" + "0" * 4400
+    rec = _record("x", {}, 10**4400, 10**4400)
+    assert (rec.expected, rec.actual, rec.passed) == (digits, digits, True)
+    rec = _record("x", {}, Fraction(10**4400, 3), Fraction(10**4400))
+    assert (rec.expected, rec.actual, rec.passed) == (digits + "/3", digits, False)
