@@ -131,9 +131,33 @@ class Valuation:
 INFINITE = Valuation(None)
 
 
+#: The first 13 primes: the trial divisors, then the Miller-Rabin bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The least strong pseudoprime to every base in _SMALL_PRIMES (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017);
+#: below it the Miller-Rabin test over those bases decides primality.
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _witness(p: int, a: int) -> bool:
+    """Whether base a proves the odd p > a composite (one Miller-Rabin round)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    x = pow(a, (p - 1) >> s, p)
+    if x in (1, p - 1):
+        return False
+    for _ in range(s - 1):
+        x = x * x % p
+        if x == p - 1:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Prime:
-    """A prime number, validated at construction by trial division."""
+    """A prime number, validated at construction: trial division by the
+    first 13 primes, then Miller-Rabin to those bases, which is exact below
+    3.3e24; a larger p is refused."""
 
     p: int
 
@@ -141,11 +165,17 @@ class Prime:
         p = self.p
         if not isinstance(p, int) or p < 2:
             raise DomainError(f"prime must be an integer >= 2, got {p!r}")
-        d = 2
-        while d * d <= p:
+        if p >= _PRIME_BOUND:
+            shown = p if p < 10**4000 else f"a {p.bit_length()}-bit number"
+            raise DomainError(f"prime must be below {_PRIME_BOUND} to be proven prime, got {shown}")
+        for d in _SMALL_PRIMES:
             if p % d == 0:
+                if p == d:
+                    return
                 raise DomainError(f"{p} is not prime (divisible by {d})")
-            d += 1
+        for a in _SMALL_PRIMES:
+            if _witness(p, a):
+                raise DomainError(f"{p} is not prime (Miller-Rabin witness {a})")
 
     def __int__(self) -> int:
         return self.p

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .bigmath import (
+    _check_harmonic_cap,
     _row_top,
     binomial,
     harmonic_sym,
@@ -320,7 +321,7 @@ def _an_cells(
 
 # A sweep's keyword parameters are its limits, their defaults its grid.  All but
 # identity11 read their largest row first, so an over-cap grid builds no row;
-# identity11's harmonic row only steps upward, and the 650 cap bounds its refusal.
+# identity11's harmonic row only steps upward, so it checks n_max against the cap.
 
 
 def _sweep_thm1(a=None, n=None, n_max=6) -> list[CheckRecord]:
@@ -410,6 +411,7 @@ def _sweep_lemma26(a=None, n=None, n_max=3) -> list[CheckRecord]:
 
 
 def _sweep_identity11(n_max=60) -> list[CheckRecord]:
+    _check_harmonic_cap(n_max)
     return [check_identity11(n, k) for n in range(1, n_max + 1) for k in range(0, n + 1)]
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from collections import OrderedDict
 from pathlib import Path
 from fractions import Fraction
@@ -570,3 +571,224 @@ def test_valuation_row_witness_survives_python_O():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.split() == ["ok"]
+
+
+def _run_fresh(script: str, *flags: str) -> None:
+    """Run a test script in a fresh interpreter started with flags; it prints "ok"."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
+def test_split_kernel_equals_the_loop():
+    """Bit for bit, on both sides of the crossover, at n = pm, pm + 1 and
+    pm + p - 1, through two levels of splitting for p = 2 and 3, and for
+    large p at m = 1 and 2."""
+    cross = bigmath._SPLIT_FROM
+    for p in (2, 3, 5, 7, 11):
+        m = cross // p + 1
+        sizes = [cross - 1, cross, p * m, p * m + 1, p * m + p - 1]
+        if p <= 3:
+            sizes += [p * p * m, p * p * m + p - 1]  # m' = pm >= the crossover splits again
+        for n in sizes:
+            precision = bigmath._initial_precision(p, n)
+            for modulus in (p, p**precision, p ** (2 * precision)):  # as after a doubling
+                loop = _EXPAND(n, 0, modulus)
+                assert bigmath._residue_row(p, n, modulus) == loop, (p, n, modulus)
+                assert bigmath._split_rising(p, n, modulus) == loop, (p, n, modulus)
+    for p, n in ((101, 200), (101, 300), (257, 300), (601, 1202)):  # m = 1, 2, 1, 2
+        modulus = p ** bigmath._initial_precision(p, n)
+        loop = _EXPAND(n, 0, modulus)
+        assert bigmath._residue_row(p, n, modulus) == loop, (p, n)
+        assert bigmath._split_rising(p, n, modulus) == loop, (p, n)
+
+
+def test_rows_with_p_past_n_take_the_loop():
+    """For p > n there is no smaller row to split off (m = n // p = 0), so the
+    row is the loop's, at once even for p near 2^61."""
+    for p in (1000003, 2**61 - 1):
+        start = time.perf_counter()
+        assert valuation_row(p, 300) == _exact_valuations(p, 300)
+        assert time.perf_counter() - start < 2.0, p
+
+
+def test_packed_slots_past_the_int_digit_limit_are_refused(monkeypatch):
+    """A slot of 4300 digits could not be read back by int(): refused, never
+    truncated; the kernel builds such a row by the loop instead."""
+    for modulus in (10**9, 10**2149):  # slots of 19 and 4299 digits
+        assert bigmath._packed_product([1, 2], [3, 4], modulus) == [3, 10, 8]
+    for a, modulus in (([5], 10**2150), ([1, 2], 3**10_000)):  # 4300 digits, and more
+        with pytest.raises(bigmath.InvariantError, match="int\\(\\) digit limit"):
+            bigmath._packed_product(a, a, modulus)
+    monkeypatch.setattr(bigmath, "_split_rising", None)  # the split path is not taken
+    assert bigmath._residue_row(2, 300, 2**7200) == _EXPAND(300, 0, 2**7200)
+
+
+def test_a_lower_int_digit_limit_keeps_wide_rows_on_the_loop():
+    """Under a digit limit of 640, a row whose slots would need about 670
+    digits is built by the loop, and a product with such slots is refused."""
+    script = (
+        "import stirval.bigmath as bigmath\n"
+        "modulus = 3**700\n"
+        "loop = bigmath._expand_rising(300, 0, modulus)\n"
+        "bigmath._split_rising = None\n"
+        "if bigmath._residue_row(3, 300, modulus) != loop:\n"
+        "    raise SystemExit('wrong row')\n"
+        "try:\n"
+        "    bigmath._packed_product([1, 2], [3, 4], modulus)\n"
+        "except bigmath.InvariantError:\n"
+        "    print('ok')\n"
+    )
+    _run_fresh(script, "-X", "int_max_str_digits=640")
+
+
+_CORRUPT_SPLIT = """
+import math
+
+import stirval.bigmath as bigmath
+from stirval import InvariantError, valuation_row
+
+split = bigmath._split_rising
+
+
+def units(p):
+    return [u for u in bigmath._WITNESS_UNITS if u % p][:2]
+
+
+def add(c, j, fault):
+    for i, f in enumerate(fault):
+        c[j + i] += f
+
+
+def off_by_one(c, p, n, modulus):
+    c[n // 2 + 1] += 1
+
+
+def same_parity_pair(c, p, n, modulus):
+    add(c, 2, [1, 0, -1])  # only x = 2 sees it among x = 1, 2, -1
+
+
+def seen_by_units_only(c, p, n, modulus):
+    # (x - 1)(x - 2)(x + 1) x^7 vanishes at x = 1, 2, -1: only the units see it
+    add(c, 7, [2, -1, -2, 1])
+
+
+def seen_by_second_unit_only(c, p, n, modulus):
+    # also times (x - u) for the first unit u; several faults can cancel at one
+    # point, so one unit alone would not see this, and faults built to vanish
+    # at all five points (degree 5 and up) pass every witness
+    u = units(p)[0]
+    add(c, 9, [-2 * u, 2 + u, 2 * u - 1, -2 - u, 1])
+
+
+def check_sums(c, p, n, modulus, corrupt):
+    if corrupt in (seen_by_units_only, seen_by_second_unit_only):
+        at = lambda x: sum(r * x**k for k, r in enumerate(c)) % modulus
+        if (at(1) - math.factorial(n)) % modulus or (at(2) - math.factorial(n + 1)) % modulus or at(-1):
+            raise SystemExit(f"{corrupt.__name__} moved a x = 1, 2, -1 sum at n={n}")
+    if corrupt is seen_by_second_unit_only:
+        if (bigmath._at(c, units(p)[0], modulus) - math.perm(units(p)[0] + n - 1, n)) % modulus:
+            raise SystemExit(f"the fault moved the first unit's value at n={n}")
+
+
+faults = (off_by_one, same_parity_pair, seen_by_units_only, seen_by_second_unit_only)
+sizes = [(3, 486), (3, 487), (2, 512), (5, 625)]
+try:
+    for corrupt in faults:
+        for p, n in sizes:
+            def corrupted(q, size, modulus):
+                c = split(q, size, modulus)
+                if size == n:  # the row itself, not the row it splits from
+                    corrupt(c, p, n, modulus)
+                    check_sums(c, p, n, modulus, corrupt)
+                return c
+
+            bigmath._split_rising = corrupted
+            bigmath._cached_valuation_row.cache_clear()
+            try:
+                valuation_row(p, n)
+            except InvariantError as exc:
+                if "witness" not in str(exc):
+                    raise
+            else:
+                raise SystemExit(f"valuation_row({p}, {n}) took {corrupt.__name__}")
+finally:
+    bigmath._split_rising = split
+    bigmath._cached_valuation_row.cache_clear()
+print("ok")
+"""
+
+
+def test_witness_refuses_a_residue_corrupted_on_the_split_path():
+    """One residue off by one, a same-parity pair, and two faults that the
+    x = 1, 2, -1 sums cannot see, one of which also cancels at the first unit."""
+    exec(compile(_CORRUPT_SPLIT, "<corrupt-split>", "exec"), {})
+
+
+def test_witness_on_the_split_path_survives_python_O():
+    _run_fresh(_CORRUPT_SPLIT, "-O")
+
+
+_FORCED_SPLIT_DOUBLING = """
+import stirval.bigmath as bigmath
+from stirval import stirling1_row, valuation_row, vp_int
+
+split, initial = bigmath._split_rising, bigmath._initial_precision
+split_builds = []
+
+
+def counting_split(p, n, modulus):
+    split_builds.append((p, n))
+    return split(p, n, modulus)
+
+
+bigmath._split_rising = counting_split
+bigmath._initial_precision = lambda p, n: 1
+bigmath._cached_valuation_row.cache_clear()
+try:
+    for p, n in [(3, 486), (2, 401), (5, 252)]:
+        if n < bigmath._SPLIT_FROM:
+            raise SystemExit(f"row {n} is below the crossover")
+        if valuation_row(p, n) != tuple(vp_int(p, v) for v in stirling1_row(n)):
+            raise SystemExit(f"valuation_row({p}, {n}) is not exact")
+        # at P = 1 the residues of s(n, t) with p | s(n, t) are 0, so the row rebuilds
+        if split_builds.count((p, n)) < 2:
+            raise SystemExit(f"no doubling: {split_builds.count((p, n))} split build(s) of row {n}")
+finally:
+    bigmath._split_rising, bigmath._initial_precision = split, initial
+    bigmath._cached_valuation_row.cache_clear()
+print("ok")
+"""
+
+
+def test_forced_doubling_on_the_split_path_stays_exact():
+    exec(compile(_FORCED_SPLIT_DOUBLING, "<forced-split-doubling>", "exec"), {})
+
+
+def test_forced_doubling_on_the_split_path_survives_python_O():
+    _run_fresh(_FORCED_SPLIT_DOUBLING, "-O")
+
+
+def test_unit_points_see_faults_the_sums_miss(monkeypatch):
+    """On the loop path too: a fault vanishing at x = 1, 2, -1 is refused."""
+    kernel = bigmath._residue_row
+
+    def corrupted(p, n, modulus):
+        c = kernel(p, n, modulus)
+        for i, f in enumerate([2, -1, -2, 1]):  # (x - 1)(x - 2)(x + 1) x^3
+            c[3 + i] += f
+        return c
+
+    monkeypatch.setattr(bigmath, "_residue_row", corrupted)
+    try:
+        for p, n in [(2, 9), (3, 27), (7, 50), (3, 162)]:
+            bigmath._cached_valuation_row.cache_clear()
+            with pytest.raises(bigmath.InvariantError, match="witness"):
+                valuation_row(p, n)
+    finally:
+        bigmath._cached_valuation_row.cache_clear()

@@ -346,6 +346,19 @@ def test_absurd_n_is_refused_before_its_power_is_formed(capsys, argv):
     assert peak < 500_000
 
 
+def test_over_cap_identity11_is_refused_before_its_first_record(capsys):
+    """identity11 sweeps n upward, so without a check of n_max first it would
+    check every n <= 650 (about 211,000 records, 45 s) before refusing."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", "identity11", "--n-max", "651")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (1, "", "error: row too large: harmonic row n=651 exceeds cap 650\n")
+    assert peak < 500_000
+
+
 def test_val_exact_keeps_n0_and_out_of_range_a(capsys):
     """n = 0 and a outside [1, p-1] still read the row s(a*p^n, .); an a <= 0
     has an empty row whatever n is, so it is refused for its t, not as too large."""

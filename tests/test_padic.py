@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from stirval import (
     vp_int,
     vp_rational,
 )
-from stirval.padic import _vp
+from stirval.padic import _PRIME_BOUND, _SMALL_PRIMES, _vp, _witness
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 47]
 
@@ -57,6 +58,39 @@ def test_prime_validation():
             Prime(composite)
     for p in (2, 3, 5, 97, 101):
         assert Prime(p).p == p
+
+
+def test_prime_refuses_strong_pseudoprimes():
+    """Trial division names a small factor; Miller-Rabin to the first 13 prime
+    bases catches 3825123056546413051, a strong pseudoprime to bases 2..23."""
+    assert not any(_witness(3825123056546413051, a) for a in _SMALL_PRIMES[:9])
+    with pytest.raises(DomainError, match="^3825123056546413051 is not prime"):
+        Prime(3825123056546413051)
+    with pytest.raises(DomainError, match=r"^561 is not prime \(divisible by 3\)$"):
+        Prime(561)
+    for p in _SMALL_PRIMES:
+        assert Prime(p).p == p
+
+
+def test_prime_decides_numbers_near_2_61_at_once():
+    """Trial division up to sqrt(p) took minutes here; Miller-Rabin takes microseconds."""
+    start = time.perf_counter()
+    assert Prime(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(DomainError, match="Miller-Rabin witness"):
+        Prime((2**31 - 1) * 1073741789)  # two primes near 2^31 and 2^30
+    assert time.perf_counter() - start < 0.5
+
+
+def test_prime_refuses_p_past_the_proven_bound():
+    """The bound itself is a strong pseudoprime to all 13 bases, so it would
+    pass as prime; it and everything above it are refused."""
+    assert not any(_witness(_PRIME_BOUND, a) for a in _SMALL_PRIMES)
+    for p in (_PRIME_BOUND, _PRIME_BOUND + 2):
+        with pytest.raises(DomainError, match=f"prime must be below {_PRIME_BOUND}"):
+            Prime(p)
+    with pytest.raises(DomainError, match="got a 20001-bit number$"):
+        Prime(2**20000 + 1)
+    assert Prime(10**24 + 7).p == 10**24 + 7  # prime, below the bound
 
 
 def test_as_prime_reuses_valid_primes_and_rejects_bad_input_every_call():
