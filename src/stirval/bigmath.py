@@ -91,17 +91,22 @@ def _row_top(p: int, a: int, n: int) -> int:
     return a * p**n
 
 
-#: Byte budget of the exact-row store, as counted by _row_bytes.  Two rows
+#: Byte budget of the row store, as counted by _row_bytes.  Two exact rows
 #: at ROW_CAP (19 MiB each, and 33 s to build on a 2-vCPU VM) fit, so
 #: repeated lookups in a cap-sized row never rebuild it; the 776 rows of one
 #: identity-report benchmark pass (seed 1001) take 1.6 MiB.
 _ROW_CACHE_BYTES = 64 << 20
 
-#: Exact rows by (n, shift), least recently used first, each held with its
-#: size; _rows_held is the sum of those sizes, at most _ROW_CACHE_BYTES.
-_rows: OrderedDict[tuple[int, int], tuple[tuple[int, ...], int]] = OrderedDict()
+#: The row store, least recently used first: exact rows by (n, shift), each
+#: held as (row, size), and residue rows by (p, n, _RESIDUES), each held as
+#: (row, size, modulus).  _rows_held is the sum of the sizes, at most
+#: _ROW_CACHE_BYTES.
+_rows: OrderedDict[tuple, tuple] = OrderedDict()
 _rows_held = 0
 _rows_lock = threading.Lock()
+
+#: The last part of a residue row's key: a 3-tuple is never an exact (n, shift) key.
+_RESIDUES = "residues"
 
 
 def _row_bytes(row: tuple[int, ...]) -> int:
@@ -110,9 +115,22 @@ def _row_bytes(row: tuple[int, ...]) -> int:
     return sum(40 + (v.bit_length() >> 3) for v in row)
 
 
+def _hold(key: tuple, entry: tuple) -> None:
+    """Hold entry (row, size, ...) under key, replacing what key held, and
+    evict least recently used rows down to the budget; call under _rows_lock."""
+    global _rows_held
+    replaced = _rows.pop(key, None)
+    if replaced is not None:
+        _rows_held -= replaced[1]
+    _rows[key] = entry
+    _rows_held += entry[1]
+    while _rows_held > _ROW_CACHE_BYTES:
+        _, evicted = _rows.popitem(last=False)
+        _rows_held -= evicted[1]
+
+
 def _cached_row(n: int, shift: int) -> tuple[int, ...]:
     """The exact row of (x+shift)...(x+shift+n-1), built once while it stays held."""
-    global _rows_held
     key = (n, shift)
     with _rows_lock:
         held = _rows.get(key)
@@ -121,17 +139,12 @@ def _cached_row(n: int, shift: int) -> tuple[int, ...]:
             return held[0]
     # built outside the lock, so one slow row does not hold up other lookups
     row = tuple(_expand_rising(n, shift))
-    size = _row_bytes(row)
     with _rows_lock:
         held = _rows.get(key)
         if held is not None:  # another thread stored it first: share its tuple
             _rows.move_to_end(key)
             return held[0]
-        _rows[key] = (row, size)
-        _rows_held += size
-        while _rows_held > _ROW_CACHE_BYTES:
-            _, (_, evicted) = _rows.popitem(last=False)
-            _rows_held -= evicted
+        _hold(key, (row, _row_bytes(row)))
     return row
 
 
@@ -156,13 +169,15 @@ def stirling1(n: int, k: int) -> int:
 
 
 def _initial_precision(p: int, n: int) -> int:
-    """The first precision P tried for row n >= 1: one above v_p(s(n, 1)).
+    """The first precision P tried for row n >= 1: P = v_p(n!) + 1.
 
-    s(n, 1) = (n-1)!, so P = v_p((n-1)!) + 1.  This is only a starting
-    guess for speed, taken from the factorial rather than from any oracle;
+    That is one above v_p(s(n, 1)) = v_p((n-1)!), plus v_p(n), so the row
+    held for row n also serves row n + 1 whenever p does not divide n + 1
+    (row N + 1 is then row N times x + N).  This is only a starting guess for
+    speed, taken from the factorial rather than from any oracle;
     :func:`valuation_row` stays exact whatever it returns (>= 1).
     """
-    return vp_factorial(p, n - 1).value + 1
+    return vp_factorial(p, n).value + 1
 
 
 #: Rows from this size up are built by residue-class splitting.  Timed on a
@@ -186,15 +201,63 @@ _WITNESS_UNITS = (3, 5, 7)
 
 def _residue_row(p: int, n: int, modulus: int) -> list[int]:
     """The residue kernel: the row of x(x+1)...(x+n-1), each entry reduced
-    modulo ``modulus``, a power of p."""
-    # for p > n, m = n // p is 0: the split has no row to reuse and would only
-    # multiply p copies of 1, with p up to the size Prime allows.  A product's
+    modulo ``modulus``, a power of p, as a fresh list.
+
+    A row held at a modulus that ``modulus`` divides is reduced from it.
+    Otherwise, from _SPLIT_FROM up, a held row n - 1 gives row n as its
+    product with x + n - 1; failing that the row is built.  A built or
+    derived row is held, replacing a less precise one.
+    """
+    row = _held_residues(p, n, modulus)
+    if row is not None:
+        return row
+    below = _held_residues(p, n - 1, modulus) if n >= _SPLIT_FROM else None
+    if below is not None:
+        row = _times_linear(below, n - 1, modulus)
+    # for p > n the loop builds the row: a split by d = p would have no row to
+    # reuse (m = n // p = 0), with p up to the size Prime allows.  A product's
     # shorter operand has at most n//2 + 1 coefficients, so its slots hold at
     # most (modulus-1)^2 (n//2 + 1): only a doubled precision near ROW_CAP at
     # p = 2 or 3, or a lowered digit limit, makes that too wide
-    if n < _SPLIT_FROM or p > n or not _slots_fit((modulus - 1) ** 2 * (n // 2 + 1)):
-        return _expand_rising(n, 0, modulus)
-    return _split_rising(p, n, modulus)
+    elif n < _SPLIT_FROM or p > n or not _slots_fit((modulus - 1) ** 2 * (n // 2 + 1)):
+        row = _expand_rising(n, 0, modulus)
+    else:
+        row = _split_rising(p, n, modulus)
+    held, key = tuple(row), (p, n, _RESIDUES)
+    with _rows_lock:
+        other = _rows.get(key)
+        if other is None or other[2] < modulus:  # else a thread held it at least as precisely
+            _hold(key, (held, _row_bytes(held), modulus))
+    return row
+
+
+def _held_residues(p: int, n: int, modulus: int) -> list[int] | None:
+    """Row n's residues mod modulus as a fresh list, if row n is held at a
+    modulus that modulus divides, else None."""
+    key = (p, n, _RESIDUES)
+    with _rows_lock:
+        held = _rows.get(key)
+        if held is None or held[2] < modulus:
+            return None
+        _rows.move_to_end(key)
+    row, _, held_modulus = held
+    return list(row) if held_modulus == modulus else [v % modulus for v in row]
+
+
+def _drop_residues(p: int | None = None, n: int | None = None) -> None:
+    """Drop the held residue row (p, n), or with no arguments every held residue row."""
+    global _rows_held
+    with _rows_lock:
+        keys = [(p, n, _RESIDUES)] if p is not None else [k for k in _rows if k[-1] == _RESIDUES]
+        for key in keys:
+            held = _rows.pop(key, None)
+            if held is not None:
+                _rows_held -= held[1]
+
+
+def _times_linear(c: list[int], f: int, modulus: int) -> list[int]:
+    """The coefficients of (x + f) c(x), each reduced mod modulus."""
+    return [(low * f + high) % modulus for low, high in zip(c + [0], [0] + c)]
 
 
 def _slots_fit(bound: int) -> bool:
@@ -205,22 +268,27 @@ def _slots_fit(bound: int) -> bool:
 
 
 def _split_rising(p: int, n: int, modulus: int) -> list[int]:
-    """The residue row of x(x+1)...(x+n-1) from that of x(x+1)...(x+m-1), n = pm + r.
+    """The residue row of x(x+1)...(x+n-1) from that of x(x+1)...(x+m-1), n = dm + r.
 
-    Grouping the factors x + j of x(x+1)...(x+pm-1) by j mod p (Lemmas 2.4
-    and 2.5) gives Q(x) Q(x+1) ... Q(x+p-1), where Q(z) = prod_{i<m} (z + ip)
-    = sum_k s(m, k) p^(m-k) z^k; the r factors x + pm, ..., x + n - 1 follow.
+    d is the smallest divisor of n in [2, p] (r = 0), or p if n has none.
+    Grouping the factors x + j of x(x+1)...(x+dm-1) by j mod d (Lemmas 2.4
+    and 2.5, which hold for any d >= 2) gives Q(x) Q(x+1) ... Q(x+d-1), where
+    Q(z) = prod_{i<m} (z + id) = sum_k s(m, k) d^(m-k) z^k; the r factors
+    x + dm, ..., x + n - 1 follow.  Row m comes from :func:`_residue_row`, so
+    it is held too: a largest-first grid at p = 3 splits row 2*3^6 by 2 into
+    row 3^6, that by 3 into row 3^5, and so on, each a row the grid reads.
     """
-    m, r = divmod(n, p)
+    d = next((d for d in range(2, p) if n % d == 0), p)
+    m, r = divmod(n, d)
     q, power = _residue_row(p, m, modulus), 1
-    for k in range(m, -1, -1):  # power = p^(m-k), 0 once it reaches the modulus
+    for k in range(m, -1, -1):  # power = d^(m-k) mod the modulus
         q[k] = q[k] * power % modulus
-        power = power * p % modulus
+        power = power * d % modulus
     factors = [q]
-    for _ in range(1, p):
+    for _ in range(1, d):
         factors.append(_shift_by_one(factors[-1], modulus))
     if r:
-        factors.append(_expand_rising(r, p * m, modulus))
+        factors.append(_expand_rising(r, d * m, modulus))
     while len(factors) > 1:  # multiply neighbours, so operands stay balanced
         odd = factors[-1:] if len(factors) % 2 else []
         pairs = zip(factors[::2], factors[1::2])
@@ -302,18 +370,25 @@ def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
         if all(residues[1:]):
             break
         precision *= 2
-    _check_witness(p, n, residues, precision)
+    try:
+        _check_witness(p, n, residues, precision)
+    except InvariantError:
+        _drop_residues(p, n)  # a refused row is never read again
+        raise
     return (INFINITE, *(Valuation(_vp(p, r)) for r in residues[1:]))
 
 
 def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
     """The row v_p(s(n, 0..n)) of exact valuations; cached per (p, n).
 
-    The row is built modulo p**P by :func:`_residue_row`, with P starting
-    at v_p((n-1)!) + 1, rather than exactly.  A nonzero residue has the
-    valuation of the number itself; a zero residue doubles P and rebuilds
-    the row, so every entry is exact, never a bound.  Entry 0 is infinite for n >= 1 (s(n, 0) = 0),
-    and the single entry of n = 0 is 0.
+    The row is taken modulo p**P from :func:`_residue_row`, with P starting
+    at v_p(n!) + 1, rather than exactly: reduced from a residue row held at
+    a higher precision, derived from a held row n - 1, or built.  A nonzero
+    residue has the valuation of the number itself; a zero residue doubles P
+    and asks again, so every entry is exact, never a bound.  Whatever path
+    gave the residues, the witness checks them at P, and a refused residue
+    row is dropped from the store.  Entry 0 is infinite for n >= 1
+    (s(n, 0) = 0), and the single entry of n = 0 is 0.
     """
     q = as_prime(p).p
     _check_row_cap(n)

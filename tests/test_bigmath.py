@@ -492,8 +492,9 @@ print("ok")
 """
 
 
-def test_valuation_row_doubles_precision_until_exact():
+def test_valuation_row_doubles_precision_until_exact(monkeypatch):
     """Starting at precision 1 forces the zero-residue path; answers stay exact."""
+    _empty_row_store(monkeypatch)  # no residue row held by an earlier test
     exec(compile(_FORCED_DOUBLING, "<forced-doubling>", "exec"), {})
 
 
@@ -555,9 +556,10 @@ print("ok")
 """
 
 
-def test_valuation_row_witness_refuses_a_corrupted_residue():
+def test_valuation_row_witness_refuses_a_corrupted_residue(monkeypatch):
     """The witness sums catch one residue off by one, and (x = 2 only) two
     residues of the same parity moved by +1 and -1."""
+    _empty_row_store(monkeypatch)  # no residue row held by an earlier test
     exec(compile(_CORRUPT_RESIDUE, "<corrupt-residue>", "exec"), {})
 
 
@@ -724,9 +726,10 @@ print("ok")
 """
 
 
-def test_witness_refuses_a_residue_corrupted_on_the_split_path():
+def test_witness_refuses_a_residue_corrupted_on_the_split_path(monkeypatch):
     """One residue off by one, a same-parity pair, and two faults that the
     x = 1, 2, -1 sums cannot see, one of which also cancels at the first unit."""
+    _empty_row_store(monkeypatch)  # no residue row held by an earlier test
     exec(compile(_CORRUPT_SPLIT, "<corrupt-split>", "exec"), {})
 
 
@@ -766,7 +769,8 @@ print("ok")
 """
 
 
-def test_forced_doubling_on_the_split_path_stays_exact():
+def test_forced_doubling_on_the_split_path_stays_exact(monkeypatch):
+    _empty_row_store(monkeypatch)  # no residue row held by an earlier test
     exec(compile(_FORCED_SPLIT_DOUBLING, "<forced-split-doubling>", "exec"), {})
 
 
@@ -792,3 +796,167 @@ def test_unit_points_see_faults_the_sums_miss(monkeypatch):
                 valuation_row(p, n)
     finally:
         bigmath._cached_valuation_row.cache_clear()
+
+
+def _residue_key(p, n):
+    return (p, n, bigmath._RESIDUES)
+
+
+def _check_store():
+    """The held total is the sum of the held sizes and within the budget, and
+    every held residue row is the loop's row mod its modulus."""
+    held = bigmath._rows.items()
+    assert bigmath._rows_held == sum(entry[1] for _, entry in held) <= bigmath._ROW_CACHE_BYTES
+    for key, (row, size, *modulus) in held:
+        assert size == bigmath._row_bytes(row)
+        if modulus:
+            assert list(row) == _EXPAND(key[1], 0, modulus[0]), key
+
+
+#: The residue kernel itself, taken before any test wraps it.
+_RESIDUE_ROW = bigmath._residue_row
+
+
+def _requests(monkeypatch):
+    """Record every (n, modulus) asked of the residue kernel, sub rows included."""
+    asked = []
+
+    def recording(p, n, modulus):
+        asked.append((n, modulus))
+        return _RESIDUE_ROW(p, n, modulus)
+
+    monkeypatch.setattr(bigmath, "_residue_row", recording)
+    return asked
+
+
+def test_every_residue_path_equals_the_loop(monkeypatch):
+    """A held row reduced to a lower precision, row n from a held row n - 1, a
+    d = 2 split and a d = p split with a tail: each bit for bit the loop's row,
+    and each a fresh list that the caller may scale in place."""
+    for p in (2, 3, 5, 7, 11):
+        builds = _empty_row_store(monkeypatch)
+        asked = _requests(monkeypatch)
+        n = 2 * 211  # d = 2; row 211 is prime past 11, so it splits by d = p with a tail
+        precision = bigmath._initial_precision(p, n + 1)
+        low, high = p**precision, p ** (2 * precision)
+        assert bigmath._residue_row(p, n, high) == _EXPAND(n, 0, high)
+        assert asked[:2] == [(n, high), (211, high)]  # d = 2: row n reads row n / 2
+        m, r = divmod(211, p)
+        assert r and (m, high) in asked  # d = p, with the r tail factors
+        del builds[:], asked[:]
+        requests = [(n, low), (n + 1, low), (n + 1, high), (211, low)]
+        for size, modulus in requests:
+            row = bigmath._residue_row(p, size, modulus)
+            assert row == _EXPAND(size, 0, modulus), (p, size, modulus)
+            row[0] += 1  # not the held row
+            assert bigmath._residue_row(p, size, modulus) == _EXPAND(size, 0, modulus)
+        # reductions and row n from row n - 1 build nothing and ask for no sub row
+        assert builds == [] and asked == [r for r in requests for _ in "ab"]
+        assert bigmath._rows[_residue_key(p, n + 1)][2] == high
+        _check_store()
+
+
+def test_grid_rows_are_the_same_largest_or_smallest_first(monkeypatch):
+    sizes = sorted({a * 3**n + d for a in (1, 2) for n in range(1, 7) for d in (0, 1)})
+    rows = []
+    try:
+        for order in (sizes[::-1], sizes):
+            _empty_row_store(monkeypatch)
+            bigmath._cached_valuation_row.cache_clear()
+            rows.append({n: valuation_row(3, n) for n in order})
+            _check_store()
+    finally:
+        bigmath._cached_valuation_row.cache_clear()
+    assert rows[0] == rows[1]
+    assert all(rows[0][n] == _exact_valuations(3, n) for n in sizes if n <= 244)
+
+
+def test_residue_rows_count_against_the_row_budget(monkeypatch):
+    """Exact and residue rows share one byte budget: a chain of residue rows
+    evicts the least recently used rows, exact ones too, to stay within it."""
+    modulus = 3 ** bigmath._initial_precision(3, 1458)
+    budget = bigmath._row_bytes(tuple(_EXPAND(1458, 0, modulus))) * 5 // 4
+    _empty_row_store(monkeypatch, budget)
+    stirling1_row(100)
+    try:
+        bigmath._cached_valuation_row.cache_clear()
+        residues = _EXPAND(1458, 0, modulus)[1:]
+        assert valuation_row(3, 1458)[1:] == tuple(Valuation(bigmath._vp(3, v)) for v in residues)
+    finally:
+        bigmath._cached_valuation_row.cache_clear()
+    _check_store()
+    assert (100, 0) not in bigmath._rows and _residue_key(3, 1458) in bigmath._rows
+    assert _residue_key(3, 729) not in bigmath._rows  # 729 + 1458 pass the budget
+
+
+_CORRUPT_HELD = """
+import stirval.bigmath as bigmath
+from stirval import InvariantError, valuation_row
+
+modulus = 3 ** bigmath._initial_precision(3, 1458)
+key = (3, 729, bigmath._RESIDUES)
+bigmath._cached_valuation_row.cache_clear()
+try:
+    bigmath._residue_row(3, 729, modulus)  # row 729, held as row 1458 holds it
+    row, size, held_modulus = bigmath._rows[key]
+    if held_modulus != modulus:
+        raise SystemExit("row 729 is not held at row 1458's precision")
+    bad = list(row)
+    bad[300] = (bad[300] + 1) % modulus
+    bigmath._rows[key] = (tuple(bad), size, held_modulus)
+    for n in (1458, 729):  # row 1458 reads row 729 by its d = 2 split; 729 reduces it
+        try:
+            valuation_row(3, n)
+        except InvariantError as exc:
+            if "witness" not in str(exc):
+                raise
+        else:
+            raise SystemExit(f"valuation_row(3, {n}) took a corrupted held row")
+        if (3, n, bigmath._RESIDUES) in bigmath._rows:
+            raise SystemExit(f"the refused row {n} stays held")
+finally:
+    bigmath._cached_valuation_row.cache_clear()
+print("ok")
+"""
+
+
+def test_witness_refuses_a_row_read_from_a_corrupted_held_row(monkeypatch):
+    _empty_row_store(monkeypatch)
+    exec(compile(_CORRUPT_HELD, "<corrupt-held>", "exec"), {})
+
+
+def test_witness_on_a_corrupted_held_row_survives_python_O():
+    _run_fresh(_CORRUPT_HELD, "-O")
+
+
+def test_threads_building_a_chain_and_its_sub_rows_share_the_store(monkeypatch):
+    """Rows 729, 486 and 243 are held inside row 1458's chain while other
+    threads ask for them at their own precisions."""
+    sizes = (1458, 729, 486, 243)  # more threads than cores
+    try:
+        _empty_row_store(monkeypatch)
+        bigmath._cached_valuation_row.cache_clear()
+        serial = [valuation_row(3, n) for n in sizes]
+        _empty_row_store(monkeypatch)
+        bigmath._cached_valuation_row.cache_clear()
+        start, results = threading.Barrier(len(sizes)), {}
+
+        def build(n):
+            start.wait()
+            results[n] = valuation_row(3, n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
+        try:
+            threads = [threading.Thread(target=build, args=(n,)) for n in sizes]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+    finally:
+        bigmath._cached_valuation_row.cache_clear()
+    assert [results[n] for n in sizes] == serial
+    _check_store()

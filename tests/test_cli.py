@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import OrderedDict
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import stirval.cli as cli
+from stirval import bigmath
 from stirval import CheckRecord, Valuation, VerificationReport
 from stirval.cli import main
 
@@ -218,6 +220,21 @@ def test_bench_smoke(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["formula_ns_per_query"] > 0 and doc["exact_ns_per_query"] > 0
+
+
+def test_bench_times_a_fresh_row_every_repetition(capsys, monkeypatch):
+    """No repetition is a reduction of a residue row held from an earlier one."""
+    monkeypatch.setattr(bigmath, "_rows", OrderedDict())
+    monkeypatch.setattr(bigmath, "_rows_held", 0)
+    split, builds = bigmath._split_rising, []
+
+    def counting_split(p, n, modulus):
+        builds.append(n)
+        return split(p, n, modulus)
+
+    monkeypatch.setattr(bigmath, "_split_rising", counting_split)
+    code, _, _ = run_cli(capsys, "bench", "--a", "2", "--n", "5", "--reps", "3")
+    assert code == 0 and builds.count(486) == 3
 
 
 def test_bench_row_cap(capsys):
