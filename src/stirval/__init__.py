@@ -30,7 +30,6 @@ from .oracles import (
     full_valuation_p,
     h_valuation,
     komatsu_young_valuation,
-    lengyel_special,
     max_valuation_bound,
     thm1_valuation,
     thm2_shift_valuation,
@@ -99,7 +98,6 @@ __all__ = [
     "h_valuation",
     "harmonic_sym",
     "komatsu_young_valuation",
-    "lengyel_special",
     "max_valuation_bound",
     "stirling1",
     "stirling1_row",

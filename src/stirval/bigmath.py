@@ -214,12 +214,10 @@ def _residue_row(p: int, n: int, modulus: int) -> list[int]:
     below = _held_residues(p, n - 1, modulus) if n >= _SPLIT_FROM else None
     if below is not None:
         row = _times_linear(below, n - 1, modulus)
-    # for p > n the loop builds the row: a split by d = p would have no row to
-    # reuse (m = n // p = 0), with p up to the size Prime allows.  A product's
-    # shorter operand has at most n//2 + 1 coefficients, so its slots hold at
-    # most (modulus-1)^2 (n//2 + 1): only a doubled precision near ROW_CAP at
-    # p = 2 or 3, or a lowered digit limit, makes that too wide
-    elif n < _SPLIT_FROM or p > n or not _slots_fit((modulus - 1) ** 2 * (n // 2 + 1)):
+    # a product's shorter operand has at most n//2 + 1 coefficients, so its
+    # slots hold at most (modulus-1)^2 (n//2 + 1): only a doubled precision
+    # near ROW_CAP at p = 2 or 3, or a lowered digit limit, makes that too wide
+    elif n < _SPLIT_FROM or not _slots_fit((modulus - 1) ** 2 * (n // 2 + 1)):
         row = _expand_rising(n, 0, modulus)
     else:
         row = _split_rising(p, n, modulus)
@@ -244,15 +242,13 @@ def _held_residues(p: int, n: int, modulus: int) -> list[int] | None:
     return list(row) if held_modulus == modulus else [v % modulus for v in row]
 
 
-def _drop_residues(p: int | None = None, n: int | None = None) -> None:
-    """Drop the held residue row (p, n), or with no arguments every held residue row."""
+def _drop_residues(p: int, n: int) -> None:
+    """Drop the held residue row (p, n)."""
     global _rows_held
     with _rows_lock:
-        keys = [(p, n, _RESIDUES)] if p is not None else [k for k in _rows if k[-1] == _RESIDUES]
-        for key in keys:
-            held = _rows.pop(key, None)
-            if held is not None:
-                _rows_held -= held[1]
+        held = _rows.pop((p, n, _RESIDUES), None)
+        if held is not None:
+            _rows_held -= held[1]
 
 
 def _times_linear(c: list[int], f: int, modulus: int) -> list[int]:

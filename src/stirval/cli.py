@@ -1,5 +1,5 @@
 """Command-line front end: exact values, valuation oracles, verification
-sweeps, table export, and a formula-vs-exact micro-benchmark.
+sweeps and table export.
 
 Exit codes: 0 success / all checks pass; 1 usage or domain error;
 2 verification failure; 3 conjecture deviation found.
@@ -14,12 +14,8 @@ import json
 import os
 import sys
 import tempfile
-import time
 
 from .bigmath import (
-    _cached_valuation_row,
-    _check_row_cap,
-    _drop_residues,
     _row_top,
     harmonic_sym,
     stirling1,
@@ -279,56 +275,6 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def _cmd_bench(args) -> int:
-    _check_an(3, args.a, args.n)
-    top = _row_top(3, args.a, args.n)
-    _check_row_cap(top)
-    # warm anything the formula path caches (none today, but keep it honest)
-    full_valuation_3(args.a, args.n, 1)
-
-    formula_best = None
-    for _ in range(args.reps):
-        start = time.perf_counter_ns()
-        for t in range(1, top + 1):
-            full_valuation_3(args.a, args.n, t)
-        elapsed = (time.perf_counter_ns() - start) / top
-        formula_best = elapsed if formula_best is None else min(formula_best, elapsed)
-
-    exact_best = None
-    for _ in range(args.reps):
-        _drop_residues()  # a fresh build: no cached or held row is read
-        start = time.perf_counter_ns()
-        _cached_valuation_row.__wrapped__(3, top)[top // 2]
-        elapsed = float(time.perf_counter_ns() - start)
-        exact_best = elapsed if exact_best is None else min(exact_best, elapsed)
-
-    ratio = exact_best / formula_best if formula_best else float("inf")
-    doc = {
-        "a": args.a,
-        "n": args.n,
-        "reps": args.reps,
-        "formula_ns_per_query": round(formula_best, 1),
-        "exact_ns_per_query": round(exact_best, 1),
-        "speedup": round(ratio, 1),
-    }
-    if args.format == "json":
-        print(_json_doc(doc))
-    else:
-        print(
-            f"formula: {doc['formula_ns_per_query']} ns/query over t=1..{top}\n"
-            f"exact:   {doc['exact_ns_per_query']} ns/query (one fresh valuation row)\n"
-            f"speedup: {doc['speedup']}x"
-        )
-        if ratio < 100:
-            print("note: speedup below the informational 100x floor")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -388,13 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", default=None, metavar="PATH",
                     help="write the report to PATH (atomically) instead of stdout")
     sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("bench", help="time the O(1) oracle against a fresh valuation row")
-    sp.add_argument("--a", type=int, required=True, choices=[1, 2])
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--reps", type=int, default=3)
-    sp.add_argument("--format", choices=["plain", "json"], default="plain")
-    sp.set_defaults(func=_cmd_bench)
 
     return parser
 

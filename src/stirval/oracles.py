@@ -13,7 +13,7 @@ from enum import Enum
 from math import ceil, log2
 
 from .bigmath import bernoulli, harmonic_sym
-from .errors import DomainError, InvariantError, UsageError
+from .errors import DomainError, InvariantError
 from .padic import Prime, Valuation, _str, _vp, as_prime, vp_factorial, vp_rational
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "decompose_p",
     "full_valuation_p",
     "full_valuation_3",
-    "lengyel_special",
     "komatsu_young_valuation",
     "conjecture13_valuation",
     "thm2_shift_valuation",
@@ -92,16 +91,6 @@ class QueryP:
     def t(self) -> int:
         """The addressed index t = a*p^m - k."""
         return self.a * self.p.p**self.m - self.k
-
-    @property
-    def epsilon_k(self) -> int:
-        """Parity indicator: 0 for even k, 1 for odd k."""
-        return self.k & 1
-
-    @property
-    def k_residue(self) -> int:
-        """k reduced mod p-1, normalized into [0, p-2]."""
-        return self.k % (self.p.p - 1) if self.p.p > 2 else 0
 
 
 class BoundKind(Enum):
@@ -257,28 +246,7 @@ def full_valuation_p(p: int | Prime, a: int, n: int, t: int) -> Valuation:
 
 def full_valuation_3(a: int, n: int, t: int) -> Valuation:
     """Exact v_3(s(a*3^n, t)) for every t in [1, a*3^n]; see :func:`full_valuation_p`."""
-    _check_an(3, a, n)
-    top = a * 3**n
-    if not 1 <= t <= top:
-        raise DomainError(f"t must satisfy 1 <= t <= a*p^n = {_str(top)}, got {t}")
-    return Valuation(_full(3, a, n, top, t))
-
-
-def lengyel_special(variant: str, n: int) -> Valuation:
-    """Closed forms for the lowest-index columns.
-
-    variant: "s3n_2" -> v_3(s(3^n, 2)), "s3n_3" -> v_3(s(3^n, 3)),
-    "s2x3n_2" -> v_3(s(2*3^n, 2)).
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if variant == "s3n_2":
-        return Valuation((3**n + 3) // 2 - 2 * n)
-    if variant == "s3n_3":
-        return Valuation((3**n + 3) // 2 - 3 * n)
-    if variant == "s2x3n_2":
-        return Valuation(3**n - 2 * n - 1)
-    raise UsageError(f"unknown variant {variant!r}; expected s3n_2, s3n_3 or s2x3n_2")
+    return full_valuation_p(_P3, a, n, t)
 
 
 def komatsu_young_valuation(p: int | Prime, k: int, r: int, m: int) -> Valuation:

@@ -15,7 +15,6 @@ from stirval import (
     full_valuation_3,
     h_valuation,
     komatsu_young_valuation,
-    lengyel_special,
     max_valuation_bound,
     stirling1_row,
     sweep,
@@ -43,11 +42,11 @@ def test_ac1_known_point_values_and_low_column_forms():
     for n in range(1, 7):
         row1 = stirling1_row(3**n)
         row2 = stirling1_row(2 * 3**n)
-        if vp_int(3, row1[2]) != (3**n + 3) // 2 - 2 * n != lengyel_special("s3n_2", n).value:
+        if vp_int(3, row1[2]) != (3**n + 3) // 2 - 2 * n:
             bad.append(f"s(3^{n},2)")
-        if vp_int(3, row1[3]) != (3**n + 3) // 2 - 3 * n != lengyel_special("s3n_3", n).value:
+        if vp_int(3, row1[3]) != (3**n + 3) // 2 - 3 * n:
             bad.append(f"s(3^{n},3)")
-        if vp_int(3, row2[2]) != 3**n - 2 * n - 1 != lengyel_special("s2x3n_2", n).value:
+        if vp_int(3, row2[2]) != 3**n - 2 * n - 1:
             bad.append(f"s(2*3^{n},2)")
         for m in range(0, n + 1):
             want1 = (3**n - 3**m) // 2 - 3**m * (n - m)

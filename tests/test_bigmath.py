@@ -590,7 +590,7 @@ def _run_fresh(script: str, *flags: str) -> None:
 def test_split_kernel_equals_the_loop():
     """Bit for bit, on both sides of the crossover, at n = pm, pm + 1 and
     pm + p - 1, through two levels of splitting for p = 2 and 3, and for
-    large p at m = 1 and 2."""
+    large p at m = 1 and 2, and for p > n, where d is a divisor of n."""
     cross = bigmath._SPLIT_FROM
     for p in (2, 3, 5, 7, 11):
         m = cross // p + 1
@@ -603,16 +603,33 @@ def test_split_kernel_equals_the_loop():
                 loop = _EXPAND(n, 0, modulus)
                 assert bigmath._residue_row(p, n, modulus) == loop, (p, n, modulus)
                 assert bigmath._split_rising(p, n, modulus) == loop, (p, n, modulus)
-    for p, n in ((101, 200), (101, 300), (257, 300), (601, 1202)):  # m = 1, 2, 1, 2
+    # m = 1, 2, 1, 2; then p > n with d = 2 (m = 150 and 1250) and d = n = 211 (m = 1)
+    for p, n in ((101, 200), (101, 300), (257, 300), (601, 1202),
+                 (401, 300), (1009, 211), (2503, 2500)):
         modulus = p ** bigmath._initial_precision(p, n)
         loop = _EXPAND(n, 0, modulus)
         assert bigmath._residue_row(p, n, modulus) == loop, (p, n)
         assert bigmath._split_rising(p, n, modulus) == loop, (p, n)
 
 
-def test_rows_with_p_past_n_take_the_loop():
-    """For p > n there is no smaller row to split off (m = n // p = 0), so the
-    row is the loop's, at once even for p near 2^61."""
+def test_rows_with_p_past_n_split_by_a_divisor_of_n(monkeypatch):
+    """For p > n the split's d is the smallest divisor of n, so d <= n and
+    there is always a smaller row to split off: row 2500 at p = 2503 goes
+    2500 -> 1250 -> 625 by d = 2, 2 and 5, and row 125 is the loop's."""
+    _empty_row_store(monkeypatch)
+    split, splits = bigmath._split_rising, []
+
+    def counting_split(p, n, modulus):
+        splits.append(n)
+        return split(p, n, modulus)
+
+    monkeypatch.setattr(bigmath, "_split_rising", counting_split)
+    bigmath._residue_row(2503, 2500, 2503)
+    assert splits == [2500, 1250, 625]
+
+
+def test_rows_with_p_past_n_are_exact_and_quick():
+    """Row 300 at p = 1000003 and near 2^61 is exact, and built at once."""
     for p in (1000003, 2**61 - 1):
         start = time.perf_counter()
         assert valuation_row(p, 300) == _exact_valuations(p, 300)

@@ -4,14 +4,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from collections import OrderedDict
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import stirval.cli as cli
-from stirval import bigmath
 from stirval import CheckRecord, Valuation, VerificationReport
 from stirval.cli import main
 
@@ -211,37 +209,6 @@ def test_verify_failure_statuses(capsys, monkeypatch):
     assert code == 3 and "deviations=1" in out
 
 
-def test_bench_smoke(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--a", "1", "--n", "1", "--reps", "1")
-    assert code == 0 and "speedup" in out
-    code, out, _ = run_cli(
-        capsys, "bench", "--a", "2", "--n", "2", "--reps", "1", "--format", "json"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["formula_ns_per_query"] > 0 and doc["exact_ns_per_query"] > 0
-
-
-def test_bench_times_a_fresh_row_every_repetition(capsys, monkeypatch):
-    """No repetition is a reduction of a residue row held from an earlier one."""
-    monkeypatch.setattr(bigmath, "_rows", OrderedDict())
-    monkeypatch.setattr(bigmath, "_rows_held", 0)
-    split, builds = bigmath._split_rising, []
-
-    def counting_split(p, n, modulus):
-        builds.append(n)
-        return split(p, n, modulus)
-
-    monkeypatch.setattr(bigmath, "_split_rising", counting_split)
-    code, _, _ = run_cli(capsys, "bench", "--a", "2", "--n", "5", "--reps", "3")
-    assert code == 0 and builds.count(486) == 3
-
-
-def test_bench_row_cap(capsys):
-    code, _, err = run_cli(capsys, "bench", "--a", "1", "--n", "8")
-    assert code == 1 and "row too large" in err
-
-
 def test_no_arguments_is_usage_error(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1 and "error:" in err
@@ -299,8 +266,7 @@ def _fresh_main(argvs, flags=()):
     (("table", "--a", "1", "--n", "-1"), "error: n must be >= 1, got -1\n"),
     (("val", "--p", "2", "--a", "2", "--n", "-1", "--t", "1", "--method", "exact"),
      "error: n must be >= 0, got -1\n"),
-    (("bench", "--a", "1", "--n", "-1"), "error: n must be >= 1, got -1\n"),
-], ids=["table", "val-exact", "bench"])
+], ids=["table", "val-exact"])
 def test_negative_n_is_refused_in_a_fresh_process(argv, message):
     proc = _fresh_cli(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
@@ -348,9 +314,8 @@ def test_big_integers_print_past_the_int_digit_limit():
 @pytest.mark.parametrize("argv", [
     ("table", "--a", "1", "--n", "10000000"),
     ("val", "--a", "1", "--n", "10000000", "--t", "1", "--method", "exact"),
-    ("bench", "--a", "1", "--n", "10000000"),
     ("verify", "thm1", "--a", "1", "--n", "10000000"),
-], ids=["table", "val-exact", "bench", "verify"])
+], ids=["table", "val-exact", "verify"])
 def test_absurd_n_is_refused_before_its_power_is_formed(capsys, argv):
     """3^(10^7) alone would take 2 MB and seconds; the refusal allocates neither."""
     tracemalloc.start()

@@ -18,7 +18,6 @@ from stirval import (
     DomainError,
     OracleResult,
     QueryP,
-    UsageError,
     Valuation,
     conjecture13_valuation,
     cor1_valuation,
@@ -27,7 +26,6 @@ from stirval import (
     full_valuation_p,
     h_valuation,
     komatsu_young_valuation,
-    lengyel_special,
     max_valuation_bound,
     stirling1_row,
     thm1_valuation,
@@ -129,24 +127,6 @@ def test_full_valuation_domain():
         full_valuation_3(1, 2, 10)
 
 
-def test_lengyel_examples():
-    assert lengyel_special("s3n_2", 2) == 2
-    assert lengyel_special("s3n_3", 2) == 0
-    assert lengyel_special("s2x3n_2", 2) == 4
-
-
-def test_lengyel_matches_full_valuation():
-    for n in range(1, 6):
-        assert lengyel_special("s3n_2", n) == full_valuation_3(1, n, 2)
-        assert lengyel_special("s3n_3", n) == full_valuation_3(1, n, 3)
-        assert lengyel_special("s2x3n_2", n) == full_valuation_3(2, n, 2)
-
-
-def test_lengyel_rejects_unknown_variant():
-    with pytest.raises(UsageError):
-        lengyel_special("s3n_4", 2)
-
-
 def test_komatsu_young_examples():
     assert komatsu_young_valuation(3, 3, 1, 0) == 0
     assert komatsu_young_valuation(2, 1, 2, 1) == 1  # v_2(s(6,2)) = v_2(274)
@@ -212,8 +192,6 @@ def test_queryp_domain():
 
 def test_queryp_derived_fields():
     q = QueryP(7, 2, 3, 2, 9)
-    assert q.epsilon_k == 1
-    assert q.k_residue == 3
     assert q.t == 2 * 49 - 9
 
 
