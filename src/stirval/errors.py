@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["StirvalError", "DomainError", "UsageError", "RowTooLargeError", "InvariantError"]
+
 
 class StirvalError(Exception):
     """Base class for all errors raised by this package."""

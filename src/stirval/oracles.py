@@ -270,7 +270,7 @@ def conjecture13_valuation(q: QueryP) -> Valuation:
     For p = 3 this agrees with :func:`thm1_valuation` on the whole common
     domain.  For p = 2 the correction term degenerates; the proven 2-adic
     form is used instead of a literal reading of the odd-p expression
-    (see the ledger note on the p = 2 branch).
+    (see the comment on the p = 2 branch of ``_conjecture13``).
     """
     p, a, n, m = q.p.p, q.a, q.n, q.m
     return Valuation(_conjecture13(p, n, m, q.k, a * p**n, a * p**m))

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from fractions import Fraction
 
@@ -102,23 +101,6 @@ def test_no_public_callable_takes_a_cap():
 _EXPAND = bigmath._expand_rising
 
 
-def _empty_row_store(monkeypatch, budget=None):
-    """Give the test an empty exact-row store (restored afterwards) and
-    return the list of (n, shift) rows it builds."""
-    monkeypatch.setattr(bigmath, "_rows", OrderedDict())
-    monkeypatch.setattr(bigmath, "_rows_held", 0)
-    if budget is not None:
-        monkeypatch.setattr(bigmath, "_ROW_CACHE_BYTES", budget)
-    builds = []
-
-    def counting_expand(n, shift, modulus=0):
-        builds.append((n, shift))
-        return _EXPAND(n, shift, modulus)
-
-    monkeypatch.setattr(bigmath, "_expand_rising", counting_expand)
-    return builds
-
-
 def _check_row_store():
     """The held total is the sum of the held rows' sizes and within the
     budget, and every held row is the fresh row of its key."""
@@ -128,17 +110,17 @@ def _check_row_store():
         assert size == bigmath._row_bytes(row) and row == tuple(_EXPAND(n, shift))
 
 
-def test_plain_and_shifted_rows_share_one_cache(monkeypatch):
-    builds = _empty_row_store(monkeypatch)
+def test_plain_and_shifted_rows_share_one_cache(cold_rows):
+    builds = cold_rows()
     assert stirling1_shifted_row(0, 7) is stirling1_row(7)  # one build, one hit
     stirling1_shifted_row(2, 7)
     assert builds == [(7, 0), (7, 2)]
     assert list(bigmath._rows) == [(7, 0), (7, 2)]
 
 
-def test_row_store_stays_within_its_byte_budget(monkeypatch):
+def test_row_store_stays_within_its_byte_budget(cold_rows):
     budget = 4 * bigmath._row_bytes(_EXPAND(30, 0))
-    builds = _empty_row_store(monkeypatch, budget)
+    builds = cold_rows(budget)
     rng = random.Random(9)
     for _ in range(300):
         n, shift = rng.randint(1, 40), rng.randint(0, 3)
@@ -148,10 +130,10 @@ def test_row_store_stays_within_its_byte_budget(monkeypatch):
     assert len(bigmath._rows) > 1
 
 
-def test_row_store_evicts_the_least_recently_used_row(monkeypatch):
+def test_row_store_evicts_the_least_recently_used_row(cold_rows):
     a, b, c, small = (20, 0), (20, 1), (20, 2), (10, 0)
     sizes = {key: bigmath._row_bytes(_EXPAND(*key)) for key in (a, b, c, small)}
-    builds = _empty_row_store(monkeypatch, sizes[a] + sizes[b] + sizes[c])
+    builds = cold_rows(sizes[a] + sizes[b] + sizes[c])
     for n, shift in (a, b, c, a):  # the second lookup of a is a hit
         stirling1_shifted_row(shift, n)
     stirling1_row(10)  # fits once b, now the least recently used, is gone
@@ -162,10 +144,10 @@ def test_row_store_evicts_the_least_recently_used_row(monkeypatch):
     assert builds == [a, b, c, small, b]
 
 
-def test_a_row_built_twice_at_once_is_shared(monkeypatch):
+def test_a_row_built_twice_at_once_is_shared(cold_rows, monkeypatch):
     """When a second build of a row finishes first, both lookups return the
     tuple stored first, so plain and m = 0 shifted rows stay one object."""
-    builds = _empty_row_store(monkeypatch)
+    builds = cold_rows()
     expand, started, inner = bigmath._expand_rising, [], []
 
     def racing_expand(n, shift, modulus=0):
@@ -181,11 +163,11 @@ def test_a_row_built_twice_at_once_is_shared(monkeypatch):
     _check_row_store()
 
 
-def test_row_store_threads_share_it(monkeypatch):
+def test_row_store_threads_share_it(cold_rows):
     """Threads that look rows up, build them and evict them at once must get
     exact rows and leave a consistent store."""
     budget = 3 * bigmath._row_bytes(_EXPAND(25, 0))  # a few rows, so evictions race
-    _empty_row_store(monkeypatch, budget)
+    cold_rows(budget)
     rng = random.Random(11)
     plans = [[(rng.randint(1, 40), rng.randint(0, 3)) for _ in range(60)] for _ in range(4)]
     expected = {key: tuple(_EXPAND(*key)) for plan in plans for key in plan}
@@ -460,6 +442,18 @@ def test_single_values_refuse_a_non_int_index():
             call()
 
 
+def _run_fresh(script: str, *flags: str) -> None:
+    """Run a test script in a fresh interpreter started with flags; it prints "ok"."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
 _FORCED_DOUBLING = """
 import stirval.bigmath as bigmath
 from stirval import stirling1_row, valuation_row, vp_int
@@ -492,22 +486,14 @@ print("ok")
 """
 
 
-def test_valuation_row_doubles_precision_until_exact(monkeypatch):
+def test_valuation_row_doubles_precision_until_exact(cold_rows):
     """Starting at precision 1 forces the zero-residue path; answers stay exact."""
-    _empty_row_store(monkeypatch)  # no residue row held by an earlier test
+    cold_rows()  # no residue row held by an earlier test
     exec(compile(_FORCED_DOUBLING, "<forced-doubling>", "exec"), {})
 
 
 def test_valuation_row_doubling_survives_python_O():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FORCED_DOUBLING],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["ok"]
+    _run_fresh(_FORCED_DOUBLING, "-O")
 
 
 _CORRUPT_RESIDUE = """
@@ -556,35 +542,15 @@ print("ok")
 """
 
 
-def test_valuation_row_witness_refuses_a_corrupted_residue(monkeypatch):
+def test_valuation_row_witness_refuses_a_corrupted_residue(cold_rows):
     """The witness sums catch one residue off by one, and (x = 2 only) two
     residues of the same parity moved by +1 and -1."""
-    _empty_row_store(monkeypatch)  # no residue row held by an earlier test
+    cold_rows()  # no residue row held by an earlier test
     exec(compile(_CORRUPT_RESIDUE, "<corrupt-residue>", "exec"), {})
 
 
 def test_valuation_row_witness_survives_python_O():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_RESIDUE],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["ok"]
-
-
-def _run_fresh(script: str, *flags: str) -> None:
-    """Run a test script in a fresh interpreter started with flags; it prints "ok"."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["ok"]
+    _run_fresh(_CORRUPT_RESIDUE, "-O")
 
 
 def test_split_kernel_equals_the_loop():
@@ -612,11 +578,11 @@ def test_split_kernel_equals_the_loop():
         assert bigmath._split_rising(p, n, modulus) == loop, (p, n)
 
 
-def test_rows_with_p_past_n_split_by_a_divisor_of_n(monkeypatch):
+def test_rows_with_p_past_n_split_by_a_divisor_of_n(cold_rows, monkeypatch):
     """For p > n the split's d is the smallest divisor of n, so d <= n and
     there is always a smaller row to split off: row 2500 at p = 2503 goes
     2500 -> 1250 -> 625 by d = 2, 2 and 5, and row 125 is the loop's."""
-    _empty_row_store(monkeypatch)
+    cold_rows()
     split, splits = bigmath._split_rising, []
 
     def counting_split(p, n, modulus):
@@ -743,10 +709,10 @@ print("ok")
 """
 
 
-def test_witness_refuses_a_residue_corrupted_on_the_split_path(monkeypatch):
+def test_witness_refuses_a_residue_corrupted_on_the_split_path(cold_rows):
     """One residue off by one, a same-parity pair, and two faults that the
     x = 1, 2, -1 sums cannot see, one of which also cancels at the first unit."""
-    _empty_row_store(monkeypatch)  # no residue row held by an earlier test
+    cold_rows()  # no residue row held by an earlier test
     exec(compile(_CORRUPT_SPLIT, "<corrupt-split>", "exec"), {})
 
 
@@ -786,8 +752,8 @@ print("ok")
 """
 
 
-def test_forced_doubling_on_the_split_path_stays_exact(monkeypatch):
-    _empty_row_store(monkeypatch)  # no residue row held by an earlier test
+def test_forced_doubling_on_the_split_path_stays_exact(cold_rows):
+    cold_rows()  # no residue row held by an earlier test
     exec(compile(_FORCED_SPLIT_DOUBLING, "<forced-split-doubling>", "exec"), {})
 
 
@@ -795,8 +761,9 @@ def test_forced_doubling_on_the_split_path_survives_python_O():
     _run_fresh(_FORCED_SPLIT_DOUBLING, "-O")
 
 
-def test_unit_points_see_faults_the_sums_miss(monkeypatch):
+def test_unit_points_see_faults_the_sums_miss(cold_rows, monkeypatch):
     """On the loop path too: a fault vanishing at x = 1, 2, -1 is refused."""
+    cold_rows()
     kernel = bigmath._residue_row
 
     def corrupted(p, n, modulus):
@@ -806,13 +773,9 @@ def test_unit_points_see_faults_the_sums_miss(monkeypatch):
         return c
 
     monkeypatch.setattr(bigmath, "_residue_row", corrupted)
-    try:
-        for p, n in [(2, 9), (3, 27), (7, 50), (3, 162)]:
-            bigmath._cached_valuation_row.cache_clear()
-            with pytest.raises(bigmath.InvariantError, match="witness"):
-                valuation_row(p, n)
-    finally:
-        bigmath._cached_valuation_row.cache_clear()
+    for p, n in [(2, 9), (3, 27), (7, 50), (3, 162)]:
+        with pytest.raises(bigmath.InvariantError, match="witness"):
+            valuation_row(p, n)
 
 
 def _residue_key(p, n):
@@ -846,12 +809,12 @@ def _requests(monkeypatch):
     return asked
 
 
-def test_every_residue_path_equals_the_loop(monkeypatch):
+def test_every_residue_path_equals_the_loop(cold_rows, monkeypatch):
     """A held row reduced to a lower precision, row n from a held row n - 1, a
     d = 2 split and a d = p split with a tail: each bit for bit the loop's row,
     and each a fresh list that the caller may scale in place."""
     for p in (2, 3, 5, 7, 11):
-        builds = _empty_row_store(monkeypatch)
+        builds = cold_rows()
         asked = _requests(monkeypatch)
         n = 2 * 211  # d = 2; row 211 is prime past 11, so it splits by d = p with a tail
         precision = bigmath._initial_precision(p, n + 1)
@@ -873,34 +836,26 @@ def test_every_residue_path_equals_the_loop(monkeypatch):
         _check_store()
 
 
-def test_grid_rows_are_the_same_largest_or_smallest_first(monkeypatch):
+def test_grid_rows_are_the_same_largest_or_smallest_first(cold_rows):
     sizes = sorted({a * 3**n + d for a in (1, 2) for n in range(1, 7) for d in (0, 1)})
     rows = []
-    try:
-        for order in (sizes[::-1], sizes):
-            _empty_row_store(monkeypatch)
-            bigmath._cached_valuation_row.cache_clear()
-            rows.append({n: valuation_row(3, n) for n in order})
-            _check_store()
-    finally:
-        bigmath._cached_valuation_row.cache_clear()
+    for order in (sizes[::-1], sizes):
+        cold_rows()
+        rows.append({n: valuation_row(3, n) for n in order})
+        _check_store()
     assert rows[0] == rows[1]
     assert all(rows[0][n] == _exact_valuations(3, n) for n in sizes if n <= 244)
 
 
-def test_residue_rows_count_against_the_row_budget(monkeypatch):
+def test_residue_rows_count_against_the_row_budget(cold_rows):
     """Exact and residue rows share one byte budget: a chain of residue rows
     evicts the least recently used rows, exact ones too, to stay within it."""
     modulus = 3 ** bigmath._initial_precision(3, 1458)
     budget = bigmath._row_bytes(tuple(_EXPAND(1458, 0, modulus))) * 5 // 4
-    _empty_row_store(monkeypatch, budget)
+    cold_rows(budget)
     stirling1_row(100)
-    try:
-        bigmath._cached_valuation_row.cache_clear()
-        residues = _EXPAND(1458, 0, modulus)[1:]
-        assert valuation_row(3, 1458)[1:] == tuple(Valuation(bigmath._vp(3, v)) for v in residues)
-    finally:
-        bigmath._cached_valuation_row.cache_clear()
+    residues = _EXPAND(1458, 0, modulus)[1:]
+    assert valuation_row(3, 1458)[1:] == tuple(Valuation(bigmath._vp(3, v)) for v in residues)
     _check_store()
     assert (100, 0) not in bigmath._rows and _residue_key(3, 1458) in bigmath._rows
     assert _residue_key(3, 729) not in bigmath._rows  # 729 + 1458 pass the budget
@@ -937,8 +892,8 @@ print("ok")
 """
 
 
-def test_witness_refuses_a_row_read_from_a_corrupted_held_row(monkeypatch):
-    _empty_row_store(monkeypatch)
+def test_witness_refuses_a_row_read_from_a_corrupted_held_row(cold_rows):
+    cold_rows()
     exec(compile(_CORRUPT_HELD, "<corrupt-held>", "exec"), {})
 
 
@@ -946,34 +901,29 @@ def test_witness_on_a_corrupted_held_row_survives_python_O():
     _run_fresh(_CORRUPT_HELD, "-O")
 
 
-def test_threads_building_a_chain_and_its_sub_rows_share_the_store(monkeypatch):
+def test_threads_building_a_chain_and_its_sub_rows_share_the_store(cold_rows):
     """Rows 729, 486 and 243 are held inside row 1458's chain while other
     threads ask for them at their own precisions."""
     sizes = (1458, 729, 486, 243)  # more threads than cores
+    cold_rows()
+    serial = [valuation_row(3, n) for n in sizes]
+    cold_rows()
+    start, results = threading.Barrier(len(sizes)), {}
+
+    def build(n):
+        start.wait()
+        results[n] = valuation_row(3, n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
     try:
-        _empty_row_store(monkeypatch)
-        bigmath._cached_valuation_row.cache_clear()
-        serial = [valuation_row(3, n) for n in sizes]
-        _empty_row_store(monkeypatch)
-        bigmath._cached_valuation_row.cache_clear()
-        start, results = threading.Barrier(len(sizes)), {}
-
-        def build(n):
-            start.wait()
-            results[n] = valuation_row(3, n)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
-        try:
-            threads = [threading.Thread(target=build, args=(n,)) for n in sizes]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-                assert not th.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
+        threads = [threading.Thread(target=build, args=(n,)) for n in sizes]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
     finally:
-        bigmath._cached_valuation_row.cache_clear()
+        sys.setswitchinterval(interval)
     assert [results[n] for n in sizes] == serial
     _check_store()

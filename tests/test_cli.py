@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import stirval
 import stirval.cli as cli
 from stirval import CheckRecord, Valuation, VerificationReport
 from stirval.cli import main
@@ -390,3 +391,10 @@ def test_golden_reports_hold_under_python_O():
     for (code, out, err), (_, name) in zip(results, _GOLDEN_REPORTS):
         assert (code, err) == (0, ""), name
         assert out.encode() == (_DATA / name).read_bytes(), name
+
+
+def test_package_version_matches_pyproject():
+    """The version is stated in pyproject.toml and in stirval.__version__; they agree."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == stirval.__version__

@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -203,27 +202,9 @@ def test_explore_guards():
         sweep("conjecture13", {"a": 0})  # no n limit: the default budget
 
 
-@pytest.fixture
-def expand_calls(monkeypatch):
-    """Every row build, recorded as (n, shift), from a cold exact-row store and
-    a cold valuation-row cache."""
-    monkeypatch.setattr(bigmath, "_rows", OrderedDict())
-    monkeypatch.setattr(bigmath, "_rows_held", 0)
-    calls = []
-    expand = bigmath._expand_rising
-
-    def counting_expand(*args):
-        calls.append(args[:2])
-        return expand(*args)
-
-    monkeypatch.setattr(bigmath, "_expand_rising", counting_expand)
-    bigmath._cached_valuation_row.cache_clear()
-    yield calls
-    bigmath._cached_valuation_row.cache_clear()
-
-
-def test_over_cap_conjecture_grids_build_no_row(expand_calls):
+def test_over_cap_conjecture_grids_build_no_row(cold_rows):
     """The largest row is read first, so a grid past ROW_CAP builds nothing."""
+    expand_calls = cold_rows()
     with pytest.raises(RowTooLargeError, match="row too large"):
         sweep("conjecture13", {"p": 5, "n_max": 6})
     with pytest.raises(RowTooLargeError, match="row too large"):
@@ -235,7 +216,8 @@ def test_over_cap_conjecture_grids_build_no_row(expand_calls):
     *((suite, 8, RowTooLargeError) for suite in ("thm1", "cor1", "thm2", "thm34", "lemma22")),
     ("lemma26", 5, DomainError),  # check_lemma26 refuses n > 4
 ])
-def test_over_cap_an_grids_build_no_row(expand_calls, suite, n_max, error):
+def test_over_cap_an_grids_build_no_row(cold_rows, suite, n_max, error):
+    expand_calls = cold_rows()
     with pytest.raises(error):
         sweep(suite, {"n_max": n_max})
     assert expand_calls == []
@@ -247,9 +229,10 @@ def test_over_cap_an_grids_build_no_row(expand_calls, suite, n_max, error):
     ("lemma25", {"n_max": 21}),
     ("congruence", {"n_max": 21}),
 ])
-def test_over_cap_identity_grids_build_no_row(expand_calls, monkeypatch, suite, limits):
+def test_over_cap_identity_grids_build_no_row(cold_rows, monkeypatch, suite, limits):
     """The identity suites read their largest row first, so a grid past the cap
     is refused before any row is built."""
+    expand_calls = cold_rows()
     monkeypatch.setattr(bigmath, "ROW_CAP", 20)
     with pytest.raises(RowTooLargeError, match="row too large"):
         sweep(suite, limits)
@@ -269,9 +252,10 @@ def test_check_lemma22_refuses_an_absurd_n_before_its_power_is_formed():
     assert peak < 500_000
 
 
-def test_huge_grids_are_refused_at_once(expand_calls):
+def test_huge_grids_are_refused_at_once(cold_rows):
     """Cells are made lazily, largest first: neither the huge powers of the
     grid nor any row is built before the refusal."""
+    expand_calls = cold_rows()
     for limits in ({"n_max": 10_000}, {"n": 10_000}):
         with pytest.raises(RowTooLargeError, match=r"^row too large: n=2\*3\^10000 exceeds cap 5000$"):
             sweep("thm1", limits)
