@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DomainError, InvariantError, RowTooLargeError
-from .padic import INFINITE, Prime, Valuation, _vp, as_prime, vp_factorial
+from .padic import INFINITE, Prime, Valuation, _str, _vp, as_prime, vp_factorial
 
 __all__ = [
     "ROW_CAP",
@@ -189,11 +189,6 @@ def _initial_precision(p: int, n: int) -> int:
 #: and even at m = 1 (N near 200, p near 100).
 _SPLIT_FROM = 200
 
-#: Packed slots are cut from the product's digit string and read back with
-#: int(), so a slot stays below the default digit limit of 4300 digits.
-_SLOT_DIGITS = 4299
-_SLOT_BOUND = 10**_SLOT_DIGITS
-
 #: Units at which a residue row is checked besides x = 1, 2, -1: the first
 #: two that p does not divide.
 _WITNESS_UNITS = (3, 5, 7)
@@ -205,8 +200,9 @@ def _residue_row(p: int, n: int, modulus: int) -> list[int]:
 
     A row held at a modulus that ``modulus`` divides is reduced from it.
     Otherwise, from _SPLIT_FROM up, a held row n - 1 gives row n as its
-    product with x + n - 1; failing that the row is built.  A built or
-    derived row is held, replacing a less precise one.
+    product with x + n - 1; failing that the row is built, by the loop below
+    _SPLIT_FROM and by :func:`_split_rising` from there up, however wide its
+    packed slots.  A built or derived row is held, replacing a less precise one.
     """
     row = _held_residues(p, n, modulus)
     if row is not None:
@@ -214,10 +210,7 @@ def _residue_row(p: int, n: int, modulus: int) -> list[int]:
     below = _held_residues(p, n - 1, modulus) if n >= _SPLIT_FROM else None
     if below is not None:
         row = _times_linear(below, n - 1, modulus)
-    # a product's shorter operand has at most n//2 + 1 coefficients, so its
-    # slots hold at most (modulus-1)^2 (n//2 + 1): only a doubled precision
-    # near ROW_CAP at p = 2 or 3, or a lowered digit limit, makes that too wide
-    elif n < _SPLIT_FROM or not _slots_fit((modulus - 1) ** 2 * (n // 2 + 1)):
+    elif n < _SPLIT_FROM:
         row = _expand_rising(n, 0, modulus)
     else:
         row = _split_rising(p, n, modulus)
@@ -254,13 +247,6 @@ def _drop_residues(p: int, n: int) -> None:
 def _times_linear(c: list[int], f: int, modulus: int) -> list[int]:
     """The coefficients of (x + f) c(x), each reduced mod modulus."""
     return [(low * f + high) % modulus for low, high in zip(c + [0], [0] + c)]
-
-
-def _slots_fit(bound: int) -> bool:
-    """Whether slots as wide as bound stay below 4300 digits and within the
-    interpreter's int() digit limit (0, or no such call, means no limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    return bound < (10**limit if 0 < limit < _SLOT_DIGITS else _SLOT_BOUND)
 
 
 def _split_rising(p: int, n: int, modulus: int) -> list[int]:
@@ -307,21 +293,28 @@ def _packed_product(a: list[int], b: list[int], modulus: int) -> list[int]:
     digits per coefficient, wide enough for any coefficient of the product;
     libmpdec multiplies the two by a number-theoretic transform.
     """
-    bound = (modulus - 1) ** 2 * min(len(a), len(b))
-    if not _slots_fit(bound):
-        raise InvariantError(
-            f"packed slots mod a {modulus.bit_length()}-bit modulus are past the int() digit limit"
-        )
-    width = len(str(bound))
-    slot = f"%0{width}d"  # one %-format per operand: no list of slot strings
+    width = Decimal((modulus - 1) ** 2 * min(len(a), len(b))).adjusted() + 1
     size = len(a) + len(b) - 1
     # its own context: an inexact product traps, and no thread's flags are touched
     context = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
     digits = str(context.multiply(
-        Decimal(slot * len(a) % tuple(reversed(a))), Decimal(slot * len(b) % tuple(reversed(b)))
+        Decimal("".join(_str(v).zfill(width) for v in reversed(a))),
+        Decimal("".join(_str(v).zfill(width) for v in reversed(b))),
     )).zfill(size * width)
     end = len(digits)
-    return [int(digits[end - k * width - width:end - k * width]) % modulus for k in range(size)]
+    return [_read_int(digits[end - (k + 1) * width:end - k * width]) % modulus for k in range(size)]
+
+
+def _read_int(digits: str) -> int:
+    """int(digits) for a slot, which may pass int()'s digit limit: read in
+    pieces no longer than the limit, or of 4300 digits if there is none (a
+    limit of 0, or no such call)."""
+    piece = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    head = len(digits) % piece or piece
+    value = int(digits[:head])
+    for start in range(head, len(digits), piece):
+        value = value * 10**piece + int(digits[start:start + piece])
+    return value
 
 
 def _at(residues: list[int], u: int, modulus: int) -> int:

@@ -556,7 +556,8 @@ def test_valuation_row_witness_survives_python_O():
 def test_split_kernel_equals_the_loop():
     """Bit for bit, on both sides of the crossover, at n = pm, pm + 1 and
     pm + p - 1, through two levels of splitting for p = 2 and 3, and for
-    large p at m = 1 and 2, and for p > n, where d is a divisor of n."""
+    large p at m = 1 and 2, for p > n, where d is a divisor of n, and at
+    moduli past 10^2150, whose slots pass 4300 digits."""
     cross = bigmath._SPLIT_FROM
     for p in (2, 3, 5, 7, 11):
         m = cross // p + 1
@@ -576,6 +577,13 @@ def test_split_kernel_equals_the_loop():
         loop = _EXPAND(n, 0, modulus)
         assert bigmath._residue_row(p, n, modulus) == loop, (p, n)
         assert bigmath._split_rising(p, n, modulus) == loop, (p, n)
+    # slots past int()'s default limit of 4300 digits, read back in pieces
+    for p in (2, 3, 5, 7):
+        modulus = p ** (math.floor(2150 / math.log10(p)) + 1)
+        assert modulus > 10**2150
+        loop = _EXPAND(cross + 1, 0, modulus)
+        assert bigmath._residue_row(p, cross + 1, modulus) == loop, p
+        assert bigmath._split_rising(p, cross + 1, modulus) == loop, p
 
 
 def test_rows_with_p_past_n_split_by_a_divisor_of_n(cold_rows, monkeypatch):
@@ -602,34 +610,64 @@ def test_rows_with_p_past_n_are_exact_and_quick():
         assert time.perf_counter() - start < 2.0, p
 
 
-def test_packed_slots_past_the_int_digit_limit_are_refused(monkeypatch):
-    """A slot of 4300 digits could not be read back by int(): refused, never
-    truncated; the kernel builds such a row by the loop instead."""
-    for modulus in (10**9, 10**2149):  # slots of 19 and 4299 digits
-        assert bigmath._packed_product([1, 2], [3, 4], modulus) == [3, 10, 8]
-    for a, modulus in (([5], 10**2150), ([1, 2], 3**10_000)):  # 4300 digits, and more
-        with pytest.raises(bigmath.InvariantError, match="int\\(\\) digit limit"):
-            bigmath._packed_product(a, a, modulus)
-    monkeypatch.setattr(bigmath, "_split_rising", None)  # the split path is not taken
+def test_packed_slots_past_the_int_digit_limit_are_read_in_pieces(cold_rows, monkeypatch):
+    """Slots of 4299 and 4301 digits, and of three pieces, are read back
+    exactly, and a row whose slots pass 4300 digits is split, not looped."""
+    for modulus in (10**2149, 10**2150, 3**10_000):
+        a, b = [modulus - 1, modulus - 2, 1], [modulus - 1, modulus - 3]
+        schoolbook = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) % modulus
+                      for k in range(len(a) + len(b) - 1)]
+        assert bigmath._packed_product(a, b, modulus) == schoolbook
+    cold_rows()
+    split, splits = bigmath._split_rising, []
+
+    def counting_split(p, n, modulus):
+        splits.append(n)
+        return split(p, n, modulus)
+
+    monkeypatch.setattr(bigmath, "_split_rising", counting_split)
     assert bigmath._residue_row(2, 300, 2**7200) == _EXPAND(300, 0, 2**7200)
+    assert splits[:1] == [300]
 
 
-def test_a_lower_int_digit_limit_keeps_wide_rows_on_the_loop():
-    """Under a digit limit of 640, a row whose slots would need about 670
-    digits is built by the loop, and a product with such slots is refused."""
-    script = (
-        "import stirval.bigmath as bigmath\n"
-        "modulus = 3**700\n"
-        "loop = bigmath._expand_rising(300, 0, modulus)\n"
-        "bigmath._split_rising = None\n"
-        "if bigmath._residue_row(3, 300, modulus) != loop:\n"
-        "    raise SystemExit('wrong row')\n"
-        "try:\n"
-        "    bigmath._packed_product([1, 2], [3, 4], modulus)\n"
-        "except bigmath.InvariantError:\n"
-        "    print('ok')\n"
-    )
-    _run_fresh(script, "-X", "int_max_str_digits=640")
+_WIDE_ROWS_UNDER_A_LOWER_LIMIT = """
+import stirval.bigmath as bigmath
+
+split, splits = bigmath._split_rising, []
+
+
+def counting_split(p, n, modulus):
+    splits.append((p, n, modulus))
+    return split(p, n, modulus)
+
+
+bigmath._split_rising = counting_split
+for p, modulus in [(2, 2**2300), (3, 3**700), (3, 3**1400), (5, 5**1000), (7, 7**800)]:
+    if bigmath._residue_row(p, 300, modulus) != bigmath._expand_rising(300, 0, modulus):
+        raise SystemExit(f"row 300 mod a power of {p} differs from the loop's")
+    if (p, 300, modulus) not in splits:
+        raise SystemExit(f"row 300 mod a power of {p} was not split")
+# row 300's entries stay below 300! < 10^615, so its slots are mostly zeros:
+# residues near the modulus fill every piece of a slot
+for modulus in (3**1400, 7**800):
+    a, b = [modulus - 1, modulus - 2, 1], [modulus - 1, modulus - 3]
+    schoolbook = [sum(a[i] * b[k - i] for i in range(3) if 0 <= k - i < 2) % modulus
+                  for k in range(4)]
+    if bigmath._packed_product(a, b, modulus) != schoolbook:
+        raise SystemExit("a product of residues near the modulus was misread")
+print("ok")
+"""
+
+
+def test_a_lower_int_digit_limit_keeps_wide_rows_on_the_split():
+    """Under a digit limit of 640, row 300 is split and equals the loop's:
+    at 3^700 (334 digits) only the slots pass the limit, at the other moduli
+    (668 to 699 digits) the coefficients pass it too."""
+    _run_fresh(_WIDE_ROWS_UNDER_A_LOWER_LIMIT, "-X", "int_max_str_digits=640")
+
+
+def test_wide_rows_under_a_lower_int_digit_limit_survive_python_O():
+    _run_fresh(_WIDE_ROWS_UNDER_A_LOWER_LIMIT, "-O", "-X", "int_max_str_digits=640")
 
 
 _CORRUPT_SPLIT = """
