@@ -319,52 +319,54 @@ def _an_cells(
     return ((a, n, _row_top(p, a, n)) for n in n_values if n >= 1 for a in a_values)
 
 
+def _an_sweep(p: int, a, n, n_max, cell, offset=0) -> list[CheckRecord]:
+    """The records ``cell(a, n, top, vals)`` yields for each cell of an a*p^n grid
+    (see :func:`_an_cells`), vals being the one row v_p(s(top + offset, .))."""
+    records = []
+    for a, n, top in _an_cells(p, a, n, n_max):
+        records.extend(cell(a, n, top, valuation_row(p, top + offset)))
+    return records
+
+
 # A sweep's keyword parameters are its limits, their defaults its grid.  All but
 # identity11 read their largest row first, so an over-cap grid builds no row;
 # identity11's harmonic row only steps upward, so it checks n_max against the cap.
 
 
 def _sweep_thm1(a=None, n=None, n_max=6) -> list[CheckRecord]:
-    records = []
-    for a, n, top in _an_cells(3, a, n, n_max):
-        vals = valuation_row(3, top)
+    def cell(a, n, top, vals):
         for t in range(1, top - 1):
             q = decompose_p(_P3, a, n, t)
-            records.append(
-                _record("thm1", {"a": a, "n": n, "t": t}, thm1_valuation(q), vals[t])
-            )
-    return records
+            yield _record("thm1", {"a": a, "n": n, "t": t}, thm1_valuation(q), vals[t])
+
+    return _an_sweep(3, a, n, n_max, cell)
 
 
 def _sweep_cor1(a=None, n=None, n_max=6) -> list[CheckRecord]:
-    records = []
-    for a, n, top in _an_cells(3, a, n, n_max):
-        vals = valuation_row(3, top)
+    def cell(a, n, top, vals):
         k_top = min(2 * a * 3 ** (n - 1) + 1, top - 1)
         for k in range(2, k_top + 1):
-            records.append(
-                _record("cor1", {"a": a, "n": n, "k": k}, cor1_valuation(a, n, k), vals[top - k])
-            )
-    return records
+            yield _record("cor1", {"a": a, "n": n, "k": k}, cor1_valuation(a, n, k), vals[top - k])
+
+    return _an_sweep(3, a, n, n_max, cell)
 
 
 def _sweep_thm2(a=None, n=None, n_max=5) -> list[CheckRecord]:
-    records = []
-    for a, n, top in _an_cells(3, a, n, n_max):
-        vals_up = valuation_row(3, top + 1)
+    def cell(a, n, top, vals_up):
         for k in range(1, top + 1):
             claim = thm2_shift_valuation(a, n, k)
-            records.append(_record("thm2", {"a": a, "n": n, "k": k}, claim, vals_up[k + 1]))
-    return records
+            yield _record("thm2", {"a": a, "n": n, "k": k}, claim, vals_up[k + 1])
+
+    return _an_sweep(3, a, n, n_max, cell, offset=1)
 
 
 def _sweep_thm34(a=None, n=None, n_max=6) -> list[CheckRecord]:
-    records = []
-    for a, n, top in _an_cells(3, a, n, n_max):
-        peak = max(valuation_row(3, top)[1:]).value
+    def cell(a, n, top, vals):
+        peak = max(vals[1:]).value
         bound = max_valuation_bound(a, n)
-        records.append(_record("thm34", {"a": a, "n": n}, bound.value, peak))
-    return records
+        yield _record("thm34", {"a": a, "n": n}, bound.value, peak)
+
+    return _an_sweep(3, a, n, n_max, cell)
 
 
 def _sweep_lemma21(n_max=40) -> list[CheckRecord]:
@@ -429,22 +431,16 @@ def _sweep_conjecture13(p=3, a=1, n=None, n_max=None) -> list[CheckRecord]:
     q = p.p
     if n_max is None:  # default exploration budget: the largest n with a*p^n <= 650 (2^10 > 650)
         n_max = sum(1 for i in range(1, 11) if a * q**i <= 650)
-    records = []
-    for a, n, top in _an_cells(q, a, n, n_max):
-        vals = valuation_row(p, top)
+
+    def cell(a, n, top, vals):
         for m in range(1, n + 1):
             k_top = min(a * (q - 1) * q ** (m - 1) + 1, a * q**m - 1)
             for k in range(2, k_top + 1):
                 query = QueryP(p, a, n, m, k)
-                records.append(
-                    _record(
-                        "conjecture13",
-                        {"p": q, "a": a, "n": n, "m": m, "k": k},
-                        conjecture13_valuation(query),
-                        vals[query.t],
-                    )
-                )
-    return records
+                params = {"p": q, "a": a, "n": n, "m": m, "k": k}
+                yield _record("conjecture13", params, conjecture13_valuation(query), vals[query.t])
+
+    return _an_sweep(q, a, n, n_max, cell)
 
 
 _SWEEPS = {

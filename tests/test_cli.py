@@ -384,11 +384,29 @@ def test_verify_report_bytes_match_golden_files(capsys, argv, name):
     assert out.encode() == (_DATA / name).read_bytes()
 
 
+#: Tables written by ``stirval table`` while it still decomposed each index
+#: through the private cell finder; they pin the m, k and epsilon_k columns.
+_GOLDEN_TABLES = [
+    (["--a", "2", "--n", "2", "--format", "csv"], "table_a2_n2.csv"),
+    (["--a", "1", "--n", "2", "--format", "json"], "table_a1_n2.json"),
+    (["--a", "1", "--n", "2"], "table_a1_n2.txt"),
+]
+
+
+@pytest.mark.parametrize("argv, name", _GOLDEN_TABLES)
+def test_table_bytes_match_golden_files(capsys, argv, name):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (_DATA / name).read_bytes()
+
+
 def test_golden_reports_hold_under_python_O():
-    """No verdict may rest on an ``assert``: every golden report, byte for byte,
-    from one fresh ``python -O`` process."""
-    results = _fresh_main([["verify", *argv] for argv, _ in _GOLDEN_REPORTS], flags=("-O",))
-    for (code, out, err), (_, name) in zip(results, _GOLDEN_REPORTS):
+    """No verdict may rest on an ``assert``: every golden report and table, byte
+    for byte, from one fresh ``python -O`` process."""
+    golden = [(["verify", *argv], name) for argv, name in _GOLDEN_REPORTS]
+    golden += [(["table", *argv], name) for argv, name in _GOLDEN_TABLES]
+    results = _fresh_main([argv for argv, _ in golden], flags=("-O",))
+    for (code, out, err), (_, name) in zip(results, golden):
         assert (code, err) == (0, ""), name
         assert out.encode() == (_DATA / name).read_bytes(), name
 

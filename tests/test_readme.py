@@ -4,6 +4,7 @@ import doctest
 import shlex
 from pathlib import Path
 
+from stirval import SUITES
 from stirval.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +41,9 @@ def test_readme_cli_examples_print_what_they_show(capsys):
             shown = shown[:shown.index("...")]
             out = out[:len(shown)]
         assert (code, out) == (0, shown), argv
+
+
+def test_readme_lists_every_suite():
+    """The "Verification suites:" list names exactly ``stirval.SUITES``, in order."""
+    text = README.read_text().split("Verification suites:", 1)[1].split(". ", 1)[0]
+    assert tuple(name.strip(" `\n") for name in text.split(",")) == SUITES

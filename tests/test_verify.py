@@ -1,6 +1,8 @@
 import json
+import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +27,9 @@ from stirval import (
     explore_conjecture13,
     sweep,
 )
-from stirval import bigmath
+from stirval import bigmath, verify
 from stirval.verify import _an_cells, _record
+from test_cli import _fresh_python
 
 
 def test_lemma21_examples():
@@ -237,6 +240,83 @@ def test_over_cap_identity_grids_build_no_row(cold_rows, monkeypatch, suite, lim
     with pytest.raises(RowTooLargeError, match="row too large"):
         sweep(suite, limits)
     assert expand_calls == []
+
+
+#: The suites built on the one a*p^n sweep body, each on a small grid: its
+#: limits, the (p, N) rows it must read (one per cell, largest first; thm2
+#: reads row top + 1), and, in the first row read, the indices at which the
+#: suite's claim is exact.
+_SWEEP_READS = {
+    "thm1": ({"n_max": 2}, [(3, 18), (3, 9), (3, 6), (3, 3)], lambda row: range(1, 17)),
+    "cor1": ({"n_max": 2}, [(3, 18), (3, 9), (3, 6), (3, 3)], lambda row: range(5, 17)),
+    "thm2": ({"n_max": 2}, [(3, 19), (3, 10), (3, 7), (3, 4)], lambda row: range(3, 20, 2)),
+    "thm34": ({"n_max": 3}, [(3, 54), (3, 27), (3, 18), (3, 9), (3, 6), (3, 3)],
+              lambda row: [max(range(1, len(row)), key=row.__getitem__)]),  # the peak
+    "conjecture13": ({"p": 5, "n_max": 2}, [(5, 25), (5, 5)], lambda row: range(1, 24)),
+}
+
+
+def _sweep_reads(suite: str) -> dict:
+    """Run ``suite`` with ``verify.valuation_row`` wrapped: once as it is, recording
+    the rows read, and once with one entry of the first row raised by 1, at a
+    seeded index where the claim is exact.  Returns data, not asserts, so that a
+    ``python -O`` run is checked too."""
+    limits, _, exact_at = _SWEEP_READS[suite]
+    real = verify.valuation_row
+    reads, raised = [], []
+
+    def reading(p, n):
+        reads.append([p, n])
+        return real(p, n)
+
+    def raising(p, n):
+        row = real(p, n)
+        if raised:
+            return row
+        i = random.Random(suite).choice(list(exact_at(row)))
+        raised.append(i)
+        return row[:i] + (row[i] + 1,) + row[i + 1:]
+
+    try:
+        verify.valuation_row = reading
+        clean = sweep(suite, limits).failed
+        verify.valuation_row = raising
+        failed = sweep(suite, limits).failed
+    finally:
+        verify.valuation_row = real
+    return {"reads": reads, "clean_failed": clean, "raised_at": raised, "failed": failed}
+
+
+def _check_sweep_reads(suite: str, result: dict) -> None:
+    _, expected_reads, _ = _SWEEP_READS[suite]
+    assert result["reads"] == [list(r) for r in expected_reads], suite
+    assert result["clean_failed"] == 0, suite
+    assert len(result["raised_at"]) == 1 and result["failed"] >= 1, suite
+
+
+@pytest.mark.parametrize("suite", _SWEEP_READS)
+def test_sweep_body_reads_one_row_per_cell_and_checks_it(suite):
+    _check_sweep_reads(suite, _sweep_reads(suite))
+
+
+_SWEEP_READS_SCRIPT = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_verify
+print(json.dumps({s: test_verify._sweep_reads(s) for s in test_verify._SWEEP_READS}))
+"""
+
+
+def test_sweep_body_reads_and_checks_under_python_O():
+    """The same reads and verdicts from one fresh ``python -O`` process, where no
+    ``assert`` runs."""
+    tests = str(Path(__file__).resolve().parent)
+    proc = _fresh_python("-O", "-c", _SWEEP_READS_SCRIPT, tests)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = json.loads(proc.stdout)
+    assert list(results) == list(_SWEEP_READS)
+    for suite, result in results.items():
+        _check_sweep_reads(suite, result)
 
 
 def test_check_lemma22_refuses_an_absurd_n_before_its_power_is_formed():
