@@ -169,15 +169,26 @@ def stirling1(n: int, k: int) -> int:
 
 
 def _initial_precision(p: int, n: int) -> int:
-    """The first precision P tried for row n >= 1: P = v_p(n!) + 1.
+    """The first precision P tried for a flat row n >= 1: P = v_p(n!) + 1,
+    and v_p(n!) + 2 when p^2 > n.
 
-    That is one above v_p(s(n, 1)) = v_p((n-1)!), plus v_p(n), so the row
-    held for row n also serves row n + 1 whenever p does not divide n + 1
-    (row N + 1 is then row N times x + N).  This is only a starting guess for
+    v_p(n!) + 1 is one above v_p(s(n, 1)) = v_p((n-1)!), plus v_p(n), so the
+    row held for row n also serves row n + 1 whenever p does not divide n + 1
+    (row N + 1 is then row N times x + N; p^2 > n gives p^2 > n + 1, as
+    p^2 = n + 1 would have p | n + 1).
+    For p^2 > n an entry can reach v_p(n!) + 1: rows 2500 and 4955 at
+    p = 2477 did, and were built twice.  This is only a starting guess for
     speed, taken from the factorial rather than from any oracle;
     :func:`valuation_row` stays exact whatever it returns (>= 1).
     """
-    return vp_factorial(p, n).value + 1
+    return vp_factorial(p, n).value + 1 + (p * p > n)
+
+
+def _high_precision(p: int, n: int) -> int:
+    """The first precision tried for the entries k > n/p of a two-band row n:
+    a few digits, from n alone (entries k > m of row 1458 at p = 3 stay
+    under 20).  A starting guess only, like :func:`_initial_precision`."""
+    return 2 * n.bit_length()
 
 
 #: Rows from this size up are built by residue-class splitting.  Timed on a
@@ -262,20 +273,41 @@ def _split_rising(p: int, n: int, modulus: int) -> list[int]:
     """
     d = next((d for d in range(2, p) if n % d == 0), p)
     m, r = divmod(n, d)
-    q, power = _residue_row(p, m, modulus), 1
-    for k in range(m, -1, -1):  # power = d^(m-k) mod the modulus
-        q[k] = q[k] * power % modulus
-        power = power * d % modulus
-    factors = [q]
-    for _ in range(1, d):
-        factors.append(_shift_by_one(factors[-1], modulus))
+    factors = _shifted_copies(_residue_row(p, m, modulus), d, modulus)
     if r:
         factors.append(_expand_rising(r, d * m, modulus))
-    while len(factors) > 1:  # multiply neighbours, so operands stay balanced
+    return _product(factors, modulus)
+
+
+def _shifted_copies(row: list[int], d: int, modulus: int) -> list[list[int]]:
+    """Q(x), Q(x+1), ..., Q(x+d-1) from row m, scaled in place to
+    Q(z) = sum_k s(m, k) d^(m-k) z^k, each coefficient mod modulus."""
+    power = 1
+    for k in range(len(row) - 1, -1, -1):  # power = d^(m-k) mod the modulus
+        row[k] = row[k] * power % modulus
+        power = power * d % modulus
+    copies = [row]
+    for _ in range(1, d):
+        copies.append(_shift_by_one(copies[-1], modulus))
+    return copies
+
+
+def _product(factors: list[list[int]], modulus: int, terms: int | None = None) -> list[int]:
+    """The product of residue polynomials mod modulus, multiplying neighbours
+    so operands stay balanced; with terms, only its first terms coefficients."""
+    while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         pairs = zip(factors[::2], factors[1::2])
-        factors = [_packed_product(a, b, modulus) for a, b in pairs] + odd
-    return factors[0]
+        factors = [_packed_product(a, b, modulus)[:terms] for a, b in pairs] + odd
+    return factors[0][:terms]
+
+
+#: A Taylor shift reduces its partial sums once per this many passes.  Each
+#: pass adds about a bit to them, so unreduced they grow by the row's length:
+#: the shift of row 2477's Q at 2477^4 (46 bits) took 0.29 s unreduced, 0.16 s
+#: reducing every 8 passes, 0.13 s every 64, and at p = 3, N = 4374 (3467
+#: bits) 0.24, 0.33 and 0.18 s (2-vCPU VM, Python 3.11).
+_SHIFT_REDUCE_EVERY = 64
 
 
 def _shift_by_one(c: list[int], modulus: int) -> list[int]:
@@ -283,6 +315,8 @@ def _shift_by_one(c: list[int], modulus: int) -> list[int]:
     top = c[::-1]  # highest power first, so each pass is a prefix sum
     for end in range(len(top), 1, -1):
         top[:end] = accumulate(top[:end])
+        if end % _SHIFT_REDUCE_EVERY == 0:
+            top[:end] = [v % modulus for v in top[:end]]
     return [v % modulus for v in reversed(top)]
 
 
@@ -325,6 +359,16 @@ def _at(residues: list[int], u: int, modulus: int) -> int:
     return value
 
 
+def _witness_points(p: int, n: int) -> list[int]:
+    """x = 1, 2, -1 (-1 only for n >= 2) and the first two units of _WITNESS_UNITS."""
+    return ([1, 2, -1] if n >= 2 else [1, 2]) + [u for u in _WITNESS_UNITS if u % p][:2]
+
+
+def _off(residues: list[int], modulus: int, values: dict[int, int]) -> bool:
+    """Whether the residue polynomial differs from values[x] mod modulus at some point x."""
+    return any((_at(residues, x, modulus) - value) % modulus for x, value in values.items())
+
+
 def _check_witness(p: int, n: int, residues: list[int], precision: int) -> None:
     """Refuse a residue row that disagrees with x(x+1)...(x+n-1) at a test point.
 
@@ -334,43 +378,102 @@ def _check_witness(p: int, n: int, residues: list[int], precision: int) -> None:
     value at x by c*x^k, nonzero at a unit.  Several changes can still
     cancel at any one point; to pass, they must cancel at all five.
     """
-    modulus = p**precision
-    points = ([1, 2, -1] if n >= 2 else [1, 2]) + [u for u in _WITNESS_UNITS if u % p][:2]
-    if any(_at(residues, x, modulus) != math.perm(x + n - 1, n) % modulus for x in points):
+    values = {x: math.perm(x + n - 1, n) for x in _witness_points(p, n)}
+    if _off(residues, p**precision, values):
         raise InvariantError(f"valuation row {n} mod {p}^{precision} fails its witness sums")
+
+
+def _checked_residues(p: int, n: int, precision: int, low: int = 1) -> list[int]:
+    """Row n mod p^P from :func:`_residue_row`, with P doubled from precision
+    until residues low..n are nonzero, and checked by the witness; a refused
+    row is dropped from the store, so it is never read again."""
+    while True:
+        residues = _residue_row(p, n, p**precision)
+        # s(n, t) >= 1 for 1 <= t <= n, so a zero residue only means
+        # v_p(s(n, t)) >= P: never read it, retry with more digits
+        if all(residues[low:]):
+            break
+        precision *= 2
+    try:
+        _check_witness(p, n, residues, precision)
+    except InvariantError:
+        _drop_residues(p, n)
+        raise
+    return residues
+
+
+def _low_band(p: int, m: int, precision: int) -> list[int]:
+    """h mod p^precision, where s(pm, k) = p^(m-k) h_k, from row m at that precision.
+
+    Put x = py in x(x+1)...(x+pm-1) = Q(x)Q(x+1)...Q(x+p-1) (see
+    :func:`_split_rising`, d = p): Q(py) = p^m R(y), R the row m, so
+    sum_k s(pm, k) p^k y^k = p^m h(y) with h(y) = R(y) U(py) and
+    U(x) = Q(x+1)...Q(x+p-1).  Mod p^precision, U(py) keeps only its first
+    precision coefficients, coefficient d times p^d.  Row m passes the
+    witness, U(py) must equal prod(pu + j, p not dividing j < pm) at its
+    points and h must equal prod(pu + j, j < pm) / p^m; a refusal drops row m.
+    """
+    n, modulus = p * m, p**precision
+    row = _residue_row(p, m, modulus)
+    try:
+        _check_witness(p, m, row, precision)
+        copies = _shifted_copies(list(row), p, modulus)[1:]
+        u = _product([c[:precision] for c in copies], modulus, precision)
+        u = [v * p**d % modulus for d, v in enumerate(u)]
+        units = {x: math.prod(p * x + j for j in range(n) if j % p) for x in _witness_points(p, n)}
+        if _off(u, modulus, units):
+            raise InvariantError(f"U(py) of valuation row {n} mod {p}^{precision} fails its witness sums")
+        h = _packed_product(row, u, modulus)
+        if _off(h, modulus, {x: math.perm(x + m - 1, m) * value for x, value in units.items()}):
+            raise InvariantError(f"h of valuation row {n} mod {p}^{precision} fails its witness sums")
+    except InvariantError:
+        _drop_residues(p, m)
+        raise
+    return h
 
 
 @lru_cache(maxsize=64)
 def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
     if n == 0:
         return (Valuation(0),)
-    precision = _initial_precision(p, n)
+    m = n // p
+    if n % p or n < _SPLIT_FROM or m <= p:
+        residues = _checked_residues(p, n, _initial_precision(p, n))
+        return (INFINITE, *(Valuation(_vp(p, r)) for r in residues[1:]))
+    precision = _initial_precision(p, m)
     while True:
-        residues = _residue_row(p, n, p**precision)
-        # s(n, t) >= 1 for 1 <= t <= n, so a zero residue only means
-        # v_p(s(n, t)) >= precision: never read it, retry with more digits
-        if all(residues[1:]):
+        h = _low_band(p, m, precision)
+        if all(h[1:m + 1]):  # as in _checked_residues: a zero h_k retries with more digits
             break
         precision *= 2
-    try:
-        _check_witness(p, n, residues, precision)
-    except InvariantError:
-        _drop_residues(p, n)  # a refused row is never read again
-        raise
-    return (INFINITE, *(Valuation(_vp(p, r)) for r in residues[1:]))
+    low = [m - k + _vp(p, h[k]) for k in range(1, m + 1)]
+    high = _checked_residues(p, n, _high_precision(p, n), m + 1)
+    if any(r and _vp(p, r) != v for r, v in zip(high[1:], low)):
+        _drop_residues(p, m)
+        _drop_residues(p, n)
+        raise InvariantError(f"valuation row {n} mod {p}: its two bands disagree")
+    return (INFINITE, *map(Valuation, low), *(Valuation(_vp(p, r)) for r in high[m + 1:]))
 
 
 def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
     """The row v_p(s(n, 0..n)) of exact valuations; cached per (p, n).
 
-    The row is taken modulo p**P from :func:`_residue_row`, with P starting
-    at v_p(n!) + 1, rather than exactly: reduced from a residue row held at
-    a higher precision, derived from a held row n - 1, or built.  A nonzero
-    residue has the valuation of the number itself; a zero residue doubles P
-    and asks again, so every entry is exact, never a bound.  Whatever path
-    gave the residues, the witness checks them at P, and a refused residue
-    row is dropped from the store.  Entry 0 is infinite for n >= 1
-    (s(n, 0) = 0), and the single entry of n = 0 is 0.
+    Each entry is read from a residue of s(n, k) modulo a power of p, from
+    :func:`_residue_row`, never from the exact row: a nonzero residue has
+    the valuation of the number itself, and a zero residue doubles the
+    precision and asks again, so every entry is exact, never a bound.
+
+    A row with p | n, n >= _SPLIT_FROM and m = n/p > p is read from two
+    bands: entries k <= m as m - k + v_p(h_k) from :func:`_low_band`, which
+    reads row m from row m's own start (v_p(m!) + 1), not row n's, and
+    entries k > m from row n at a few digits (:func:`_high_precision`);
+    each band doubles its own precision.  Every entry k <= m
+    with a nonzero residue in the second band must have the same valuation
+    in both.  Every other row is read flat, row n modulo p**P with P from
+    :func:`_initial_precision`.  Whatever path gave the residues, each is
+    checked at its witness points, and a refused residue row is dropped from
+    the store.  Entry 0 is infinite for n >= 1 (s(n, 0) = 0), and the
+    single entry of n = 0 is 0.
     """
     q = as_prime(p).p
     _check_row_cap(n)

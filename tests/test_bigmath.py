@@ -762,7 +762,7 @@ _FORCED_SPLIT_DOUBLING = """
 import stirval.bigmath as bigmath
 from stirval import stirling1_row, valuation_row, vp_int
 
-split, initial = bigmath._split_rising, bigmath._initial_precision
+split, initial, high = bigmath._split_rising, bigmath._initial_precision, bigmath._high_precision
 split_builds = []
 
 
@@ -772,19 +772,24 @@ def counting_split(p, n, modulus):
 
 
 bigmath._split_rising = counting_split
-bigmath._initial_precision = lambda p, n: 1
+bigmath._initial_precision = bigmath._high_precision = lambda p, n: 1
 bigmath._cached_valuation_row.cache_clear()
 try:
-    for p, n in [(3, 486), (2, 401), (5, 252)]:
+    # rows 486 and 729 take two bands, rows 401 and 252 the flat path
+    for p, n in [(3, 486), (3, 729), (2, 401), (5, 252)]:
         if n < bigmath._SPLIT_FROM:
             raise SystemExit(f"row {n} is below the crossover")
         if valuation_row(p, n) != tuple(vp_int(p, v) for v in stirling1_row(n)):
             raise SystemExit(f"valuation_row({p}, {n}) is not exact")
-        # at P = 1 the residues of s(n, t) with p | s(n, t) are 0, so the row rebuilds
+        # at P = 1 the residues of s(n, t) with p | s(n, t) are 0, so the row
+        # rebuilds: a flat row, or a band row's high band
         if split_builds.count((p, n)) < 2:
             raise SystemExit(f"no doubling: {split_builds.count((p, n))} split build(s) of row {n}")
+    # row 729's low band reads row 243, split too, at each precision it doubles to
+    if split_builds.count((3, 243)) < 2:
+        raise SystemExit(f"no doubling: {split_builds.count((3, 243))} split build(s) of row 243")
 finally:
-    bigmath._split_rising, bigmath._initial_precision = split, initial
+    bigmath._split_rising, bigmath._initial_precision, bigmath._high_precision = split, initial, high
     bigmath._cached_valuation_row.cache_clear()
 print("ok")
 """
@@ -887,16 +892,20 @@ def test_grid_rows_are_the_same_largest_or_smallest_first(cold_rows):
 
 def test_residue_rows_count_against_the_row_budget(cold_rows):
     """Exact and residue rows share one byte budget: a chain of residue rows
-    evicts the least recently used rows, exact ones too, to stay within it."""
-    modulus = 3 ** bigmath._initial_precision(3, 1458)
+    evicts the least recently used rows, exact ones too, to stay within it.
+    Row 1458 takes two bands; the largest row they hold is row 1458 itself,
+    at the few digits of its high band, 1459 entries of about 44 bytes."""
+    modulus = 3 ** bigmath._high_precision(3, 1458)
     budget = bigmath._row_bytes(tuple(_EXPAND(1458, 0, modulus))) * 5 // 4
     cold_rows(budget)
     stirling1_row(100)
-    residues = _EXPAND(1458, 0, modulus)[1:]
+    flat = 3 ** bigmath._initial_precision(3, 1458)
+    residues = _EXPAND(1458, 0, flat)[1:]
     assert valuation_row(3, 1458)[1:] == tuple(Valuation(bigmath._vp(3, v)) for v in residues)
     _check_store()
     assert (100, 0) not in bigmath._rows and _residue_key(3, 1458) in bigmath._rows
     assert _residue_key(3, 729) not in bigmath._rows  # 729 + 1458 pass the budget
+    assert _residue_key(3, 486) not in bigmath._rows  # the low band's row m, read first
 
 
 _CORRUPT_HELD = """
@@ -965,3 +974,210 @@ def test_threads_building_a_chain_and_its_sub_rows_share_the_store(cold_rows):
         sys.setswitchinterval(interval)
     assert [results[n] for n in sizes] == serial
     _check_store()
+
+
+def test_flat_rows_with_p_squared_past_n_are_built_once(cold_rows, monkeypatch):
+    """A flat row with p^2 > N starts at v_p(N!) + 2: at v_p(N!) + 1 these rows
+    each had an entry at that valuation, so a zero residue, and were built
+    twice.  No row with p^2 <= N changes its start."""
+    for p, n in [(2477, 2500), (1999, 2500), (2503, 2500), (997, 1995), (101, 202), (101, 203)]:
+        cold_rows()
+        asked = _requests(monkeypatch)
+        row = valuation_row(p, n)
+        assert [size for size, _ in asked].count(n) == 1, (p, n)
+        doubled = bigmath._residue_row(p, n, p ** (2 * bigmath._initial_precision(p, n)))
+        assert row[1:] == tuple(Valuation(bigmath._vp(p, r)) for r in doubled[1:]), (p, n)
+    for p in (2, 3, 5, 7, 11, 13, 101, 2477):
+        for n in range(1, 400):
+            first = bigmath.vp_factorial(p, n).value + 1  # the start before p^2 > N took a digit more
+            assert bigmath._initial_precision(p, n) == first + (p * p > n), (p, n)
+
+
+#: Rows that take two bands (p | N, N >= _SPLIT_FROM, m = N/p > p): N just
+#: above the crossover for p = 2, 3, 5, 7, and m just above p for p = 17, 19.
+_BAND_ROWS = [(2, 200), (2, 202), (3, 201), (3, 204), (5, 200), (5, 205),
+              (7, 203), (7, 210), (17, 306), (19, 380)]
+#: Rows beside them that stay flat: m = p, N below the crossover, p not dividing N.
+_FLAT_ROWS = [(17, 289), (19, 361), (3, 198), (2, 201), (7, 204)]
+
+_BAND_SCRIPT_HEAD = f"""
+import stirval.bigmath as bigmath
+from stirval import InvariantError, Valuation, stirling1_row, valuation_row, vp_int
+
+BAND_ROWS, FLAT_ROWS = {_BAND_ROWS!r}, {_FLAT_ROWS!r}
+"""
+
+_BAND_ROWS_EXACT = _BAND_SCRIPT_HEAD + """
+low_band, bands = bigmath._low_band, []
+
+
+def recording(p, m, precision):
+    bands.append((p, p * m))
+    return low_band(p, m, precision)
+
+
+bigmath._low_band = recording
+bigmath._cached_valuation_row.cache_clear()
+try:
+    for p, n in BAND_ROWS + FLAT_ROWS:
+        row = valuation_row(p, n)
+        if row != tuple(vp_int(p, v) for v in stirling1_row(n)):
+            raise SystemExit(f"valuation_row({p}, {n}) is not exact")
+        # the flat path as it reads every row that takes no bands
+        flat = bigmath._checked_residues(p, n, bigmath._initial_precision(p, n))
+        if row[1:] != tuple(Valuation(bigmath._vp(p, r)) for r in flat[1:]):
+            raise SystemExit(f"valuation_row({p}, {n}) differs from its flat residues")
+        if ((p, n) in bands) != ((p, n) in BAND_ROWS):
+            raise SystemExit(f"valuation_row({p}, {n}) took the wrong path")
+finally:
+    bigmath._low_band = low_band
+    bigmath._cached_valuation_row.cache_clear()
+print("ok")
+"""
+
+
+def test_band_rows_equal_the_exact_and_the_flat_rows(cold_rows):
+    cold_rows()
+    exec(compile(_BAND_ROWS_EXACT, "<band-rows-exact>", "exec"), {})
+
+
+def test_band_rows_equal_the_exact_and_the_flat_rows_under_python_O():
+    _run_fresh(_BAND_ROWS_EXACT, "-O")
+
+
+_FORCED_BAND_DOUBLING = _BAND_SCRIPT_HEAD + """
+initial, high = bigmath._initial_precision, bigmath._high_precision
+low_band, split = bigmath._low_band, bigmath._split_rising
+builds = []
+
+
+def counting_low_band(p, m, precision):
+    builds.append(("low", p, p * m))
+    return low_band(p, m, precision)
+
+
+def counting_split(p, n, modulus):
+    builds.append(("high", p, n))
+    return split(p, n, modulus)
+
+
+bigmath._initial_precision = bigmath._high_precision = lambda p, n: 1
+bigmath._low_band, bigmath._split_rising = counting_low_band, counting_split
+bigmath._cached_valuation_row.cache_clear()
+try:
+    for p, n in BAND_ROWS:
+        if valuation_row(p, n) != tuple(vp_int(p, v) for v in stirling1_row(n)):
+            raise SystemExit(f"valuation_row({p}, {n}) is not exact")
+        # at P = 1 both bands see zero residues, so each builds again with more digits
+        for band in ("low", "high"):
+            if builds.count((band, p, n)) < 2:
+                raise SystemExit(f"no doubling: {builds.count((band, p, n))} {band} build(s) of row {n}")
+finally:
+    bigmath._initial_precision, bigmath._high_precision = initial, high
+    bigmath._low_band, bigmath._split_rising = low_band, split
+    bigmath._cached_valuation_row.cache_clear()
+print("ok")
+"""
+
+
+def test_forced_doubling_in_each_band_stays_exact(cold_rows):
+    cold_rows()
+    exec(compile(_FORCED_BAND_DOUBLING, "<forced-band-doubling>", "exec"), {})
+
+
+def test_forced_doubling_in_each_band_survives_python_O():
+    _run_fresh(_FORCED_BAND_DOUBLING, "-O")
+
+
+_CORRUPT_BAND = _BAND_SCRIPT_HEAD + """
+residue_row, product = bigmath._residue_row, bigmath._product
+packed, checked = bigmath._packed_product, bigmath._checked_residues
+fired = []
+
+
+def row_m(p, n):
+    # the low band reads row m first, before the high band reads any row
+    def corrupted(q, size, modulus):
+        c = residue_row(q, size, modulus)
+        if size == n // p and not fired:
+            fired.append(size)
+            c[size // 2 + 1] += 1
+        return c
+    bigmath._residue_row = corrupted
+
+
+def unit_factor(p, n):
+    def corrupted(factors, modulus, terms=None):
+        c = product(factors, modulus, terms)
+        if terms is not None:  # the low band's U(py), truncated to its precision
+            fired.append(terms)
+            c[0] += 1
+        return c
+    bigmath._product = corrupted
+
+
+def h(p, n):
+    def corrupted(a, b, modulus):
+        c = packed(a, b, modulus)
+        if len(a) == n // p + 1 and len(b) < len(a):  # row m times U(py)
+            fired.append(len(a))
+            c[n // p // 2 + 1] += 1
+        return c
+    bigmath._packed_product = corrupted
+
+
+def disagreement(p, n):
+    def corrupted(q, size, precision, low=1):
+        c = checked(q, size, precision, low)
+        if low > 1:  # the high band, past its witness: one entry k <= m gains a p
+            k = next(k for k in range(1, low) if c[k])
+            fired.append(k)
+            c[k] *= q
+        return c
+    bigmath._checked_residues = corrupted
+
+
+try:
+    # each refusal names the check that made it
+    refusals = [(row_m, "valuation row {m} mod {p}^"), (unit_factor, "U(py) of valuation row {n} mod"),
+                (h, "h of valuation row {n} mod"), (disagreement, "row {n} mod {p}: its two bands disagree")]
+    for corrupt, refusal in refusals:
+        for p, n in BAND_ROWS[::2]:
+            message = refusal.format(p=p, n=n, m=n // p)
+            del fired[:]
+            corrupt(p, n)
+            bigmath._cached_valuation_row.cache_clear()
+            try:
+                valuation_row(p, n)
+            except InvariantError as exc:
+                if message not in str(exc):
+                    raise
+            else:
+                raise SystemExit(f"valuation_row({p}, {n}) took {corrupt.__name__}")
+            finally:
+                bigmath._residue_row, bigmath._product = residue_row, product
+                bigmath._packed_product, bigmath._checked_residues = packed, checked
+            if len(fired) != 1:
+                raise SystemExit(f"{corrupt.__name__} fired {len(fired)} times at row {n}")
+            # the refused band drops the rows it read: row m, and row n on a disagreement
+            dropped = [n // p, n] if corrupt is disagreement else [n // p]
+            if any((p, size, bigmath._RESIDUES) in bigmath._rows for size in dropped):
+                raise SystemExit(f"a refused row of {corrupt.__name__} stays held at row {n}")
+finally:
+    bigmath._residue_row, bigmath._product = residue_row, product
+    bigmath._packed_product, bigmath._checked_residues = packed, checked
+    bigmath._cached_valuation_row.cache_clear()
+print("ok")
+"""
+
+
+def test_band_checks_refuse_a_corrupted_row_m_unit_factor_or_h_and_a_disagreement(cold_rows):
+    """One entry of row m, of U(py) or of h off by one is refused by that
+    part's own witness points, and an entry k <= m of the high band with one
+    more p than the low band gives is refused by the comparison of the bands."""
+    cold_rows()
+    exec(compile(_CORRUPT_BAND, "<corrupt-band>", "exec"), {})
+
+
+def test_band_checks_survive_python_O():
+    _run_fresh(_CORRUPT_BAND, "-O")

@@ -319,6 +319,69 @@ def test_sweep_body_reads_and_checks_under_python_O():
         _check_sweep_reads(suite, result)
 
 
+#: The suites that read held exact rows, and their records that compare the
+#: raised row with itself, so that no raise can show in them: at m = 0,
+#: lemma24 and lemma25 read the shifted row s_0(n, .), which is the plain
+#: row n, one held tuple; congruence at m = 1 compares residues mod 1.
+_EXACT_ROW_UNSEEABLE = {
+    "lemma21": lambda params: False,
+    "lemma24": lambda params: params["m"] == 0,
+    "lemma25": lambda params: params["m"] == 0,
+    "congruence": lambda params: params["m"] == 1,
+}
+
+
+def _raised_exact_row() -> dict:
+    """Run each exact-row suite on its default grid with one seeded entry of a
+    held exact row raised by 1.  Returns data, not asserts, so that a
+    ``python -O`` run is checked too."""
+    rng = random.Random(18)
+    n = rng.randint(3, 12)  # a row every suite reads: lemma25's grid stops at 12
+    k = rng.randint(2, n - 1)  # lemma21 sees it whatever the parity of n + k
+    row = bigmath.stirling1_row(n)
+    key = (n, 0)
+    size = bigmath._rows[key][1]
+    bigmath._rows[key] = (row[:k] + (row[k] + 1,) + row[k + 1:], size)
+    try:
+        reports = {suite: sweep(suite) for suite in _EXACT_ROW_UNSEEABLE}
+    finally:
+        bigmath._rows[key] = (row, size)
+    return {"raised": [n, k], **{
+        suite: {
+            "failed": report.failed,
+            "unseeable_failed": sum(not r.passed for r in report.records
+                                    if _EXACT_ROW_UNSEEABLE[suite](r.params)),
+        }
+        for suite, report in reports.items()
+    }}
+
+
+def _check_raised_exact_row(result: dict) -> None:
+    for suite in _EXACT_ROW_UNSEEABLE:
+        assert result[suite]["failed"] >= 1, (suite, result["raised"])
+        assert result[suite]["unseeable_failed"] == 0, (suite, result["raised"])
+
+
+def test_a_raised_exact_row_entry_fails_every_exact_row_suite(cold_rows):
+    cold_rows()
+    _check_raised_exact_row(_raised_exact_row())
+
+
+_RAISED_EXACT_ROW_SCRIPT = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_verify
+print(json.dumps(test_verify._raised_exact_row()))
+"""
+
+
+def test_a_raised_exact_row_entry_fails_every_exact_row_suite_under_python_O():
+    tests = str(Path(__file__).resolve().parent)
+    proc = _fresh_python("-O", "-c", _RAISED_EXACT_ROW_SCRIPT, tests)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    _check_raised_exact_row(json.loads(proc.stdout))
+
+
 def test_check_lemma22_refuses_an_absurd_n_before_its_power_is_formed():
     """3^(10^6) alone would take 0.2 MB and 0.1 s; the refusal allocates neither."""
     tracemalloc.start()
