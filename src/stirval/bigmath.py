@@ -432,14 +432,18 @@ def _low_band(p: int, m: int, precision: int) -> list[int]:
     return h
 
 
-@lru_cache(maxsize=64)
-def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
-    if n == 0:
-        return (Valuation(0),)
+def _flat_row(p: int, n: int) -> tuple[Valuation, ...]:
+    """Valuation row n >= 1 from one residue row, from :func:`_initial_precision` up."""
+    residues = _checked_residues(p, n, _initial_precision(p, n))
+    return (INFINITE, *(Valuation(_vp(p, r)) for r in residues[1:]))
+
+
+def _band_row(p: int, n: int) -> tuple[Valuation, ...]:
+    """Valuation row n = pm from h (entries k <= m) and row n at a few digits (k > m).
+
+    Row n is held only at those few digits, so a flat row n + 1 read after
+    it is built afresh rather than from row n."""
     m = n // p
-    if n % p or n < _SPLIT_FROM or m <= p:
-        residues = _checked_residues(p, n, _initial_precision(p, n))
-        return (INFINITE, *(Valuation(_vp(p, r)) for r in residues[1:]))
     precision = _initial_precision(p, m)
     while True:
         h = _low_band(p, m, precision)
@@ -455,6 +459,34 @@ def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
     return (INFINITE, *map(Valuation, low), *(Valuation(_vp(p, r)) for r in high[m + 1:]))
 
 
+def _takes_bands(p: int, n: int) -> bool:
+    """Whether row n is read from two bands: p | n, n >= _SPLIT_FROM, and
+    the flat row's start (:func:`_initial_precision`) more than half again
+    the high band's (:func:`_high_precision`).
+
+    Row n's digits are what the bands save; row m, U(py) and their checks
+    cost little beside them, but at a few digits a row's cost is mostly
+    per coefficient, not per digit.  Band against flat in fresh processes
+    (median of 7, 2-vCPU VM, BENCH_18.json): with the flat start at 1.65 to
+    2.3 times the high band's, (31, 961) took 0.038 against 0.049 s,
+    (101, 4949) 0.35 against 0.44 s and (53, 2809) 0.13 against 0.24 s,
+    though m <= p; at 1.04 to 1.22 times, (17, 306), (19, 380),
+    (31, 589) and (101, 2323) were 8 to 50 % slower through the bands, and
+    (997, 4985) and (2477, 4954), at 7 and 4 flat digits against 26, 2 to
+    2.5 times slower.  (11, 242) and (31, 992), at 1.56 and 1.7 times,
+    took the bands and were 1 to 3 ms slower for it.  That row n + 1 is then built
+    afresh, not from a held row n, is not weighed (see :func:`_band_row`).
+    """
+    return n % p == 0 and n >= _SPLIT_FROM and 2 * _initial_precision(p, n) > 3 * _high_precision(p, n)
+
+
+@lru_cache(maxsize=64)
+def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
+    if n == 0:
+        return (Valuation(0),)
+    return _band_row(p, n) if _takes_bands(p, n) else _flat_row(p, n)
+
+
 def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
     """The row v_p(s(n, 0..n)) of exact valuations; cached per (p, n).
 
@@ -463,9 +495,10 @@ def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
     the valuation of the number itself, and a zero residue doubles the
     precision and asks again, so every entry is exact, never a bound.
 
-    A row with p | n, n >= _SPLIT_FROM and m = n/p > p is read from two
-    bands: entries k <= m as m - k + v_p(h_k) from :func:`_low_band`, which
-    reads row m from row m's own start (v_p(m!) + 1), not row n's, and
+    A row that :func:`_takes_bands` (p | n = pm, n >= _SPLIT_FROM, and a
+    flat start over 1.5 times the high band's) is read from two bands: entries
+    k <= m as m - k + v_p(h_k) from :func:`_low_band`, which reads row m
+    from row m's own start (``_initial_precision(p, m)``), not row n's, and
     entries k > m from row n at a few digits (:func:`_high_precision`);
     each band doubles its own precision.  Every entry k <= m
     with a nonzero residue in the second band must have the same valuation

@@ -763,6 +763,7 @@ import stirval.bigmath as bigmath
 from stirval import stirling1_row, valuation_row, vp_int
 
 split, initial, high = bigmath._split_rising, bigmath._initial_precision, bigmath._high_precision
+takes_bands = bigmath._takes_bands
 split_builds = []
 
 
@@ -771,12 +772,16 @@ def counting_split(p, n, modulus):
     return split(p, n, modulus)
 
 
-bigmath._split_rising = counting_split
+# rows 486 and 729 take two bands, rows 401 and 252 the flat path; each keeps
+# the path its real start guesses pick once both guesses are forced to 1
+rows = {(3, 486): True, (3, 729): True, (2, 401): False, (5, 252): False}
+if any(takes_bands(p, n) != bands for (p, n), bands in rows.items()):
+    raise SystemExit("a row takes another path than this test expects")
+bigmath._split_rising, bigmath._takes_bands = counting_split, lambda p, n: rows[p, n]
 bigmath._initial_precision = bigmath._high_precision = lambda p, n: 1
 bigmath._cached_valuation_row.cache_clear()
 try:
-    # rows 486 and 729 take two bands, rows 401 and 252 the flat path
-    for p, n in [(3, 486), (3, 729), (2, 401), (5, 252)]:
+    for p, n in rows:
         if n < bigmath._SPLIT_FROM:
             raise SystemExit(f"row {n} is below the crossover")
         if valuation_row(p, n) != tuple(vp_int(p, v) for v in stirling1_row(n)):
@@ -790,6 +795,7 @@ try:
         raise SystemExit(f"no doubling: {split_builds.count((3, 243))} split build(s) of row 243")
 finally:
     bigmath._split_rising, bigmath._initial_precision, bigmath._high_precision = split, initial, high
+    bigmath._takes_bands = takes_bands
     bigmath._cached_valuation_row.cache_clear()
 print("ok")
 """
@@ -993,12 +999,17 @@ def test_flat_rows_with_p_squared_past_n_are_built_once(cold_rows, monkeypatch):
             assert bigmath._initial_precision(p, n) == first + (p * p > n), (p, n)
 
 
-#: Rows that take two bands (p | N, N >= _SPLIT_FROM, m = N/p > p): N just
-#: above the crossover for p = 2, 3, 5, 7, and m just above p for p = 17, 19.
+#: Rows that take two bands (p | N, N >= _SPLIT_FROM, and a flat start over
+#: 1.5 times the high band's): N just above the crossover for p = 2, 3, 5,
+#: 7, and the first m at p = 11, 13 and 31 whose flat start passes 1.5 times
+#: the high band's (25 against 16, 29 against 18, 31 against 20; m < p at 31).
 _BAND_ROWS = [(2, 200), (2, 202), (3, 201), (3, 204), (5, 200), (5, 205),
-              (7, 203), (7, 210), (17, 306), (19, 380)]
-#: Rows beside them that stay flat: m = p, N below the crossover, p not dividing N.
-_FLAT_ROWS = [(17, 289), (19, 361), (3, 198), (2, 201), (7, 204)]
+              (7, 203), (7, 210), (11, 242), (13, 338), (31, 899)]
+#: Rows beside them that stay flat: the m just below at p = 11, 13 and 31
+#: (a flat start of 23, 27 and 30), m = p and m just above p at p = 17 and
+#: 19, N below the crossover, p not dividing N.
+_FLAT_ROWS = [(11, 231), (13, 325), (31, 868), (17, 289), (17, 306), (19, 361), (19, 380),
+              (3, 198), (2, 201), (7, 204)]
 
 _BAND_SCRIPT_HEAD = f"""
 import stirval.bigmath as bigmath
@@ -1046,7 +1057,7 @@ def test_band_rows_equal_the_exact_and_the_flat_rows_under_python_O():
 
 
 _FORCED_BAND_DOUBLING = _BAND_SCRIPT_HEAD + """
-initial, high = bigmath._initial_precision, bigmath._high_precision
+initial, high, takes_bands = bigmath._initial_precision, bigmath._high_precision, bigmath._takes_bands
 low_band, split = bigmath._low_band, bigmath._split_rising
 builds = []
 
@@ -1061,6 +1072,10 @@ def counting_split(p, n, modulus):
     return split(p, n, modulus)
 
 
+if not all(takes_bands(p, n) for p, n in BAND_ROWS):
+    raise SystemExit("a band row takes the flat path")
+# forced to 1, both start guesses would send every row flat: keep the bands
+bigmath._takes_bands = lambda p, n: True
 bigmath._initial_precision = bigmath._high_precision = lambda p, n: 1
 bigmath._low_band, bigmath._split_rising = counting_low_band, counting_split
 bigmath._cached_valuation_row.cache_clear()
@@ -1075,6 +1090,7 @@ try:
 finally:
     bigmath._initial_precision, bigmath._high_precision = initial, high
     bigmath._low_band, bigmath._split_rising = low_band, split
+    bigmath._takes_bands = takes_bands
     bigmath._cached_valuation_row.cache_clear()
 print("ok")
 """
