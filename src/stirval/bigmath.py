@@ -13,9 +13,9 @@ import operator
 import sys
 import threading
 from collections import OrderedDict
+from collections.abc import Callable, Iterable
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DomainError, InvariantError, RowTooLargeError
@@ -97,21 +97,23 @@ def _row_top(p: int, a: int, n: int) -> int:
 #: identity-report benchmark pass (seed 1001) take 1.6 MiB.
 _ROW_CACHE_BYTES = 64 << 20
 
-#: The row store, least recently used first: exact rows by (n, shift), each
-#: held as (row, size), and residue rows by (p, n, _RESIDUES), each held as
-#: (row, size, modulus).  _rows_held is the sum of the sizes, at most
-#: _ROW_CACHE_BYTES.
+#: The row store, least recently used first: exact rows by (n, shift) and valuation
+#: rows by (p, n, _VALUATIONS), held as (row, size), and residue rows by
+#: (p, n, _RESIDUES), held as (row, size, modulus); _rows_held sums the sizes.
 _rows: OrderedDict[tuple, tuple] = OrderedDict()
 _rows_held = 0
 _rows_lock = threading.Lock()
 
-#: The last part of a residue row's key: a 3-tuple is never an exact (n, shift) key.
+#: The last part of a residue or valuation row's key: never an (n, shift) key.
 _RESIDUES = "residues"
+_VALUATIONS = "valuations"
 
 
-def _row_bytes(row: tuple[int, ...]) -> int:
-    """Approximate bytes held by a row: each entry's magnitude, plus a tuple
-    slot and an int header (40 bytes together) per entry."""
+def _row_bytes(row: tuple) -> int:
+    """Approximate bytes held by a row: per int entry its magnitude, plus a tuple
+    slot and an int header (40 bytes together); per Valuation entry 48 bytes."""
+    if isinstance(row[0], Valuation):
+        return 48 * len(row)
     return sum(40 + (v.bit_length() >> 3) for v in row)
 
 
@@ -129,16 +131,16 @@ def _hold(key: tuple, entry: tuple) -> None:
         _rows_held -= evicted[1]
 
 
-def _cached_row(n: int, shift: int) -> tuple[int, ...]:
-    """The exact row of (x+shift)...(x+shift+n-1), built once while it stays held."""
-    key = (n, shift)
+def _held_row(key: tuple, build: Callable[[], Iterable]) -> tuple:
+    """The row held under key, or the row build() gives, held under key;
+    a row that build() refuses with an error is never held."""
     with _rows_lock:
         held = _rows.get(key)
         if held is not None:
             _rows.move_to_end(key)
             return held[0]
     # built outside the lock, so one slow row does not hold up other lookups
-    row = tuple(_expand_rising(n, shift))
+    row = tuple(build())
     with _rows_lock:
         held = _rows.get(key)
         if held is not None:  # another thread stored it first: share its tuple
@@ -149,13 +151,13 @@ def _cached_row(n: int, shift: int) -> tuple[int, ...]:
 
 
 def stirling1_row(n: int) -> tuple[int, ...]:
-    """Full unsigned row s(n, 0..n); held in the exact-row store.
+    """Full unsigned row s(n, 0..n); held in the row store.
 
     Entry k is the coefficient of x**k in x(x+1)...(x+n-1), equivalently
     the number of permutations of n elements with k cycles.
     """
     _check_row_cap(n)
-    return _cached_row(n, 0)
+    return _held_row((n, 0), lambda: _expand_rising(n, 0))
 
 
 def stirling1(n: int, k: int) -> int:
@@ -466,29 +468,26 @@ def _takes_bands(p: int, n: int) -> bool:
 
     Row n's digits are what the bands save; row m, U(py) and their checks
     cost little beside them, but at a few digits a row's cost is mostly
-    per coefficient, not per digit.  Band against flat in fresh processes
-    (median of 7, 2-vCPU VM, BENCH_18.json): with the flat start at 1.65 to
-    2.3 times the high band's, (31, 961) took 0.038 against 0.049 s,
-    (101, 4949) 0.35 against 0.44 s and (53, 2809) 0.13 against 0.24 s,
-    though m <= p; at 1.04 to 1.22 times, (17, 306), (19, 380),
-    (31, 589) and (101, 2323) were 8 to 50 % slower through the bands, and
-    (997, 4985) and (2477, 4954), at 7 and 4 flat digits against 26, 2 to
-    2.5 times slower.  (11, 242) and (31, 992), at 1.56 and 1.7 times,
-    took the bands and were 1 to 3 ms slower for it.  That row n + 1 is then built
-    afresh, not from a held row n, is not weighed (see :func:`_band_row`).
+    per coefficient, not per digit.  The 1.5 comes from timing both paths
+    in fresh processes (median of 7, 2-vCPU VM; BENCH_18.json and the
+    README's two-band section): at flat starts 1.65 to 2.3 times the high
+    band's the bands took 20 to 46 % less time, even with m <= p, though
+    1 to 3 ms more at (11, 242) and (31, 992) (1.56 and 1.7 times); at 1.22
+    times or less they were 8 % to 2.5 times slower.  That row n + 1 is then
+    built afresh, not from a held row n, is not weighed (see :func:`_band_row`).
     """
     return n % p == 0 and n >= _SPLIT_FROM and 2 * _initial_precision(p, n) > 3 * _high_precision(p, n)
 
 
-@lru_cache(maxsize=64)
-def _cached_valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
+def _valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
+    """Valuation row n at prime p, built afresh and not held; no cap."""
     if n == 0:
         return (Valuation(0),)
     return _band_row(p, n) if _takes_bands(p, n) else _flat_row(p, n)
 
 
 def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
-    """The row v_p(s(n, 0..n)) of exact valuations; cached per (p, n).
+    """The row v_p(s(n, 0..n)) of exact valuations, held in the row store under its budget.
 
     Each entry is read from a residue of s(n, k) modulo a power of p, from
     :func:`_residue_row`, never from the exact row: a nonzero residue has
@@ -510,7 +509,7 @@ def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
     """
     q = as_prime(p).p
     _check_row_cap(n)
-    return _cached_valuation_row(q, n)
+    return _held_row((q, n, _VALUATIONS), lambda: _valuation_row(q, n))
 
 
 def stirling1_shifted_row(m: int, n: int) -> tuple[int, ...]:
@@ -520,7 +519,7 @@ def stirling1_shifted_row(m: int, n: int) -> tuple[int, ...]:
     if n < 1:
         raise DomainError(f"shifted row requires n >= 1, got {n}")
     _check_row_cap(n)
-    return _cached_row(n, m)  # m = 0 is the plain row
+    return _held_row((n, m), lambda: _expand_rising(n, m))  # m = 0 is the plain row
 
 
 def stirling1_shifted(m: int, n: int, k: int) -> int:

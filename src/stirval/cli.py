@@ -23,7 +23,7 @@ from .bigmath import (
     valuation_row,
 )
 from .errors import DomainError, RowTooLargeError, StirvalError, UsageError
-from .oracles import _check_an, decompose_p, full_valuation_p, h_valuation, thm1_valuation
+from .oracles import _check_an, _proven_form, decompose_p, full_valuation_p, h_valuation, thm1_valuation
 from .padic import _str, as_prime
 from .verify import SUITES, VerificationReport, check_identity11, sweep
 
@@ -116,9 +116,7 @@ def _cmd_val(args) -> int:
         match = formula == exact
         out["match"] = match
         if not match:
-            # a mismatch against a proven form is a bug; against the
-            # conjectural general-p form it is a deviation
-            status = EXIT_FAILURE if p.p in (2, 3) else EXIT_DEVIATION
+            status = EXIT_FAILURE if _proven_form(p.p) else EXIT_DEVIATION
     if args.format == "json":
         print(_json_doc(out))
     elif args.method == "both":

@@ -35,6 +35,13 @@ __all__ = [
 _P3 = Prime(3)
 
 
+def _proven_form(p: int | None) -> bool:
+    """Whether the closed form at p is proven: Theorem 1 at p = 3, the 2-adic
+    form at p = 2.  A mismatch there is a bug; at any other p, or with no p
+    given, the form is conjectural, and a mismatch is a deviation."""
+    return p in (2, 3)
+
+
 def _check_an(p: int, a: int, n: int) -> None:
     """The (a, n) domain of every s(a*p^n, .) oracle: 1 <= a <= p-1, n >= 1."""
     if not 1 <= a <= p - 1:

@@ -34,6 +34,7 @@ from .oracles import (
     OracleResult,
     QueryP,
     _check_an,
+    _proven_form,
     conjecture13_valuation,
     cor1_valuation,
     decompose_p,
@@ -89,7 +90,8 @@ class VerificationReport:
 
     Counts are always recomputed from the records, so total = passed +
     failed holds by construction.  ``deviations`` counts failed records of
-    the conjectural suite, which are reported but are not treated as bugs.
+    conjecture13 at a p whose form is not proven (see ``_proven_form``):
+    they are reported but are not treated as bugs.
     """
 
     suite: str
@@ -112,7 +114,9 @@ class VerificationReport:
 
     @property
     def deviations(self) -> int:
-        return self.failed if self.suite == "conjecture13" else 0
+        if self.suite != "conjecture13":
+            return 0
+        return sum(1 for r in self.records if not r.passed and not _proven_form(r.params.get("p")))
 
     def as_json_obj(self) -> dict:
         return {

@@ -1,5 +1,4 @@
 from collections import OrderedDict
-from functools import lru_cache
 
 import pytest
 
@@ -11,18 +10,15 @@ _EXPAND = bigmath._expand_rising
 
 @pytest.fixture
 def cold_rows(monkeypatch):
-    """A function that gives the test an empty row store, optionally with its
-    own byte budget, and an empty valuation-row cache (both restored
-    afterwards), and returns the list of (n, shift) rows built from then on."""
+    """A function that gives the test an empty row store (exact, residue and
+    valuation rows alike), optionally with its own byte budget, restored
+    afterwards, and returns the list of (n, shift) rows built from then on."""
 
     def empty(budget=None):
         monkeypatch.setattr(bigmath, "_rows", OrderedDict())
         monkeypatch.setattr(bigmath, "_rows_held", 0)
         if budget is not None:
             monkeypatch.setattr(bigmath, "_ROW_CACHE_BYTES", budget)
-        cached = bigmath._cached_valuation_row
-        fresh = lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
-        monkeypatch.setattr(bigmath, "_cached_valuation_row", fresh)
         builds = []
 
         def counting_expand(n, shift, modulus=0):

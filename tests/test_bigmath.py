@@ -454,8 +454,18 @@ def _run_fresh(script: str, *flags: str) -> None:
     assert proc.stdout.split() == ["ok"]
 
 
-_FORCED_DOUBLING = """
+#: The start of a test script: empty_store() empties the row store, valuation
+#: rows too, in the interpreter that runs the script.
+_EMPTY_STORE = """
 import stirval.bigmath as bigmath
+
+
+def empty_store():
+    bigmath._rows.clear()
+    bigmath._rows_held = 0
+"""
+
+_FORCED_DOUBLING = _EMPTY_STORE + """
 from stirval import stirling1_row, valuation_row, vp_int
 
 expand, initial = bigmath._expand_rising, bigmath._initial_precision
@@ -470,7 +480,7 @@ def counting_expand(n, shift, modulus=0):
 
 bigmath._expand_rising = counting_expand
 bigmath._initial_precision = lambda p, n: 1
-bigmath._cached_valuation_row.cache_clear()
+empty_store()
 try:
     sizes = [(p, n) for p in (2, 3, 5) for n in range(1, 40)] + [(3, 162), (3, 163)]
     for p, n in sizes:
@@ -481,7 +491,7 @@ try:
         raise SystemExit(f"no doubling: {modular_builds.count(163)} build(s) of row 163")
 finally:
     bigmath._expand_rising, bigmath._initial_precision = expand, initial
-    bigmath._cached_valuation_row.cache_clear()
+    empty_store()
 print("ok")
 """
 
@@ -496,10 +506,9 @@ def test_valuation_row_doubling_survives_python_O():
     _run_fresh(_FORCED_DOUBLING, "-O")
 
 
-_CORRUPT_RESIDUE = """
+_CORRUPT_RESIDUE = _EMPTY_STORE + """
 import math
 
-import stirval.bigmath as bigmath
 from stirval import InvariantError, valuation_row
 
 expand = bigmath._expand_rising
@@ -527,7 +536,7 @@ try:
             return c
 
         bigmath._expand_rising = corrupted
-        bigmath._cached_valuation_row.cache_clear()
+        empty_store()
         try:
             valuation_row(p, n)
         except InvariantError as exc:
@@ -537,7 +546,7 @@ try:
             raise SystemExit(f"valuation_row({p}, {n}) took {corrupt.__name__}")
 finally:
     bigmath._expand_rising = expand
-    bigmath._cached_valuation_row.cache_clear()
+    empty_store()
 print("ok")
 """
 
@@ -670,10 +679,9 @@ def test_wide_rows_under_a_lower_int_digit_limit_survive_python_O():
     _run_fresh(_WIDE_ROWS_UNDER_A_LOWER_LIMIT, "-O", "-X", "int_max_str_digits=640")
 
 
-_CORRUPT_SPLIT = """
+_CORRUPT_SPLIT = _EMPTY_STORE + """
 import math
 
-import stirval.bigmath as bigmath
 from stirval import InvariantError, valuation_row
 
 split = bigmath._split_rising
@@ -732,7 +740,7 @@ try:
                 return c
 
             bigmath._split_rising = corrupted
-            bigmath._cached_valuation_row.cache_clear()
+            empty_store()
             try:
                 valuation_row(p, n)
             except InvariantError as exc:
@@ -742,7 +750,7 @@ try:
                 raise SystemExit(f"valuation_row({p}, {n}) took {corrupt.__name__}")
 finally:
     bigmath._split_rising = split
-    bigmath._cached_valuation_row.cache_clear()
+    empty_store()
 print("ok")
 """
 
@@ -758,8 +766,7 @@ def test_witness_on_the_split_path_survives_python_O():
     _run_fresh(_CORRUPT_SPLIT, "-O")
 
 
-_FORCED_SPLIT_DOUBLING = """
-import stirval.bigmath as bigmath
+_FORCED_SPLIT_DOUBLING = _EMPTY_STORE + """
 from stirval import stirling1_row, valuation_row, vp_int
 
 split, initial, high = bigmath._split_rising, bigmath._initial_precision, bigmath._high_precision
@@ -779,7 +786,7 @@ if any(takes_bands(p, n) != bands for (p, n), bands in rows.items()):
     raise SystemExit("a row takes another path than this test expects")
 bigmath._split_rising, bigmath._takes_bands = counting_split, lambda p, n: rows[p, n]
 bigmath._initial_precision = bigmath._high_precision = lambda p, n: 1
-bigmath._cached_valuation_row.cache_clear()
+empty_store()
 try:
     for p, n in rows:
         if n < bigmath._SPLIT_FROM:
@@ -796,7 +803,7 @@ try:
 finally:
     bigmath._split_rising, bigmath._initial_precision, bigmath._high_precision = split, initial, high
     bigmath._takes_bands = takes_bands
-    bigmath._cached_valuation_row.cache_clear()
+    empty_store()
 print("ok")
 """
 
@@ -897,12 +904,14 @@ def test_grid_rows_are_the_same_largest_or_smallest_first(cold_rows):
 
 
 def test_residue_rows_count_against_the_row_budget(cold_rows):
-    """Exact and residue rows share one byte budget: a chain of residue rows
-    evicts the least recently used rows, exact ones too, to stay within it.
-    Row 1458 takes two bands; the largest row they hold is row 1458 itself,
-    at the few digits of its high band, 1459 entries of about 44 bytes."""
+    """Exact, residue and valuation rows share one byte budget: a chain of
+    residue rows evicts the least recently used rows, exact ones too, to stay
+    within it.  Row 1458 takes two bands; the largest row they hold is row
+    1458 itself, at the few digits of its high band, 1459 entries of about
+    44 bytes.  The budget holds that row and a quarter more beside the
+    valuation row 1458, held last."""
     modulus = 3 ** bigmath._high_precision(3, 1458)
-    budget = bigmath._row_bytes(tuple(_EXPAND(1458, 0, modulus))) * 5 // 4
+    budget = bigmath._row_bytes(tuple(_EXPAND(1458, 0, modulus))) * 5 // 4 + 48 * 1459
     cold_rows(budget)
     stirling1_row(100)
     flat = 3 ** bigmath._initial_precision(3, 1458)
@@ -910,17 +919,16 @@ def test_residue_rows_count_against_the_row_budget(cold_rows):
     assert valuation_row(3, 1458)[1:] == tuple(Valuation(bigmath._vp(3, v)) for v in residues)
     _check_store()
     assert (100, 0) not in bigmath._rows and _residue_key(3, 1458) in bigmath._rows
-    assert _residue_key(3, 729) not in bigmath._rows  # 729 + 1458 pass the budget
+    assert _residue_key(3, 729) not in bigmath._rows  # 729, 1458 and the valuation row pass it
     assert _residue_key(3, 486) not in bigmath._rows  # the low band's row m, read first
 
 
-_CORRUPT_HELD = """
-import stirval.bigmath as bigmath
+_CORRUPT_HELD = _EMPTY_STORE + """
 from stirval import InvariantError, valuation_row
 
 modulus = 3 ** bigmath._initial_precision(3, 1458)
 key = (3, 729, bigmath._RESIDUES)
-bigmath._cached_valuation_row.cache_clear()
+empty_store()
 try:
     bigmath._residue_row(3, 729, modulus)  # row 729, held as row 1458 holds it
     row, size, held_modulus = bigmath._rows[key]
@@ -940,7 +948,7 @@ try:
         if (3, n, bigmath._RESIDUES) in bigmath._rows:
             raise SystemExit(f"the refused row {n} stays held")
 finally:
-    bigmath._cached_valuation_row.cache_clear()
+    empty_store()
 print("ok")
 """
 
@@ -982,6 +990,92 @@ def test_threads_building_a_chain_and_its_sub_rows_share_the_store(cold_rows):
     _check_store()
 
 
+def _valuation_key(p, n):
+    return (p, n, bigmath._VALUATIONS)
+
+
+def test_valuation_rows_count_against_the_row_budget_in_one_lru_order(cold_rows, monkeypatch):
+    """Valuation rows are held at 48 bytes an entry beside exact and residue
+    rows, and are evicted with them, least recently used first."""
+    exact, residues, valuations = (30, 0), _residue_key(3, 30), _valuation_key(3, 30)
+
+    def read(budget=None):
+        cold_rows(budget)
+        stirling1_row(30)
+        valuation_row(3, 30)  # holds residue row 30, then its valuation row
+        stirling1_row(30)  # a hit: the exact row is now the most recently used
+        valuation_row(5, 40)
+        _check_store()
+        return dict(bigmath._rows)
+
+    held = read()
+    assert list(held) == [residues, valuations, exact, _residue_key(5, 40), _valuation_key(5, 40)]
+    assert held[valuations][1] == 48 * 31 and held[_valuation_key(5, 40)][1] == 48 * 41
+    # a byte short of all five: the two least recently used go, valuation row 30 too
+    built, build = [], bigmath._valuation_row
+
+    def counting(p, n):
+        built.append((p, n))
+        return build(p, n)
+
+    monkeypatch.setattr(bigmath, "_valuation_row", counting)
+    read(sum(entry[1] for entry in held.values()) - held[residues][1] - 1)
+    assert list(bigmath._rows) == [exact, _residue_key(5, 40), _valuation_key(5, 40)]
+    assert valuation_row(3, 30) == _exact_valuations(3, 30)  # built afresh, and exact
+    assert built == [(3, 30), (5, 40), (3, 30)]
+    _check_store()
+
+
+def test_a_refused_valuation_row_is_not_held(cold_rows, monkeypatch):
+    cold_rows()
+    kernel = bigmath._residue_row
+
+    def corrupted(p, n, modulus):
+        c = kernel(p, n, modulus)
+        c[n // 2] += 1
+        return c
+
+    monkeypatch.setattr(bigmath, "_residue_row", corrupted)
+    for p, n in [(3, 27), (3, 486)]:  # a flat row and a band row
+        with pytest.raises(bigmath.InvariantError, match="witness"):
+            valuation_row(p, n)
+        assert _valuation_key(p, n) not in bigmath._rows
+    monkeypatch.setattr(bigmath, "_residue_row", kernel)
+    assert valuation_row(3, 27) is bigmath._rows[_valuation_key(3, 27)][0]
+    assert valuation_row(3, 27) == _exact_valuations(3, 27)
+
+
+def test_threads_reading_one_valuation_row_share_one_tuple(cold_rows, monkeypatch):
+    """Four threads that build valuation row 729 at once all get the tuple
+    stored first, as threads that build one exact row do."""
+    cold_rows()
+    built, build = [], bigmath._valuation_row
+    together = threading.Barrier(4, timeout=60)
+
+    def building_together(p, n):
+        together.wait()  # no thread stores the row before all four build it
+        built.append(n)
+        return build(p, n)
+
+    monkeypatch.setattr(bigmath, "_valuation_row", building_together)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
+    try:
+        threads = [threading.Thread(target=lambda: results.append(valuation_row(3, 729))) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert built == [729] * 4 and len(results) == 4
+    assert all(row is bigmath._rows[_valuation_key(3, 729)][0] for row in results)
+    assert results[0][1:] == tuple(Valuation(bigmath._vp(3, v)) for v in _EXPAND(729, 0, 3**400)[1:])
+    _check_store()
+
+
 def test_flat_rows_with_p_squared_past_n_are_built_once(cold_rows, monkeypatch):
     """A flat row with p^2 > N starts at v_p(N!) + 2: at v_p(N!) + 1 these rows
     each had an entry at that valuation, so a zero residue, and were built
@@ -1011,8 +1105,7 @@ _BAND_ROWS = [(2, 200), (2, 202), (3, 201), (3, 204), (5, 200), (5, 205),
 _FLAT_ROWS = [(11, 231), (13, 325), (31, 868), (17, 289), (17, 306), (19, 361), (19, 380),
               (3, 198), (2, 201), (7, 204)]
 
-_BAND_SCRIPT_HEAD = f"""
-import stirval.bigmath as bigmath
+_BAND_SCRIPT_HEAD = _EMPTY_STORE + f"""
 from stirval import InvariantError, Valuation, stirling1_row, valuation_row, vp_int
 
 BAND_ROWS, FLAT_ROWS = {_BAND_ROWS!r}, {_FLAT_ROWS!r}
@@ -1028,7 +1121,7 @@ def recording(p, m, precision):
 
 
 bigmath._low_band = recording
-bigmath._cached_valuation_row.cache_clear()
+empty_store()
 try:
     for p, n in BAND_ROWS + FLAT_ROWS:
         row = valuation_row(p, n)
@@ -1042,7 +1135,7 @@ try:
             raise SystemExit(f"valuation_row({p}, {n}) took the wrong path")
 finally:
     bigmath._low_band = low_band
-    bigmath._cached_valuation_row.cache_clear()
+    empty_store()
 print("ok")
 """
 
@@ -1078,7 +1171,7 @@ if not all(takes_bands(p, n) for p, n in BAND_ROWS):
 bigmath._takes_bands = lambda p, n: True
 bigmath._initial_precision = bigmath._high_precision = lambda p, n: 1
 bigmath._low_band, bigmath._split_rising = counting_low_band, counting_split
-bigmath._cached_valuation_row.cache_clear()
+empty_store()
 try:
     for p, n in BAND_ROWS:
         if valuation_row(p, n) != tuple(vp_int(p, v) for v in stirling1_row(n)):
@@ -1091,7 +1184,7 @@ finally:
     bigmath._initial_precision, bigmath._high_precision = initial, high
     bigmath._low_band, bigmath._split_rising = low_band, split
     bigmath._takes_bands = takes_bands
-    bigmath._cached_valuation_row.cache_clear()
+    empty_store()
 print("ok")
 """
 
@@ -1162,7 +1255,7 @@ try:
             message = refusal.format(p=p, n=n, m=n // p)
             del fired[:]
             corrupt(p, n)
-            bigmath._cached_valuation_row.cache_clear()
+            empty_store()
             try:
                 valuation_row(p, n)
             except InvariantError as exc:
@@ -1182,7 +1275,7 @@ try:
 finally:
     bigmath._residue_row, bigmath._product = residue_row, product
     bigmath._packed_product, bigmath._checked_residues = packed, checked
-    bigmath._cached_valuation_row.cache_clear()
+    empty_store()
 print("ok")
 """
 

@@ -210,6 +210,20 @@ def test_verify_failure_statuses(capsys, monkeypatch):
     assert code == 3 and "deviations=1" in out
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_conjecture13_failure_at_a_proven_form_is_a_bug(capsys, monkeypatch, p):
+    """At p = 3 the conjectural form is Theorem 1 and at p = 2 the proven
+    2-adic form, so a failed record exits 2 as `val --p 3` does, not 3."""
+    failing = VerificationReport(
+        "conjecture13",
+        [CheckRecord("conjecture13", {"a": 1, "k": 2, "m": 1, "n": 1, "p": p}, "1", "0", False)],
+    )
+    monkeypatch.setattr(cli, "sweep", lambda suite, limits: failing)
+    code, out, _ = run_cli(capsys, "verify", "conjecture13")
+    assert code == 2 and "failed=1 deviations=0" in out
+    assert failing.as_json_obj()["deviations"] == 0
+
+
 def test_no_arguments_is_usage_error(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1 and "error:" in err
