@@ -491,7 +491,9 @@ def sweep(suite: str, limits: dict | None = None) -> VerificationReport:
 def explore_conjecture13(p: int | Prime, a: int, n_max: int) -> VerificationReport:
     """Compare the conjectural evaluator against exact rows for n <= n_max.
 
-    Mismatches are deviations (reported, counted separately), not bugs.
+    Where the form at p is conjectural (``_proven_form(p)`` is false),
+    mismatches are deviations (reported, counted separately), not bugs.
+    At p = 2 or 3 the form is proven, so a mismatch is a failure.
     """
     prime = as_prime(p)
     _check_an(prime.p, a, n_max)

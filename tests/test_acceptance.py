@@ -159,10 +159,10 @@ def test_ac7_conjectural_form_cross_checks():
                     q = QueryP(3, a, n, m, k)
                     if conjecture13_valuation(q) != thm1_valuation(q):
                         bad.append(f"p3(a={a},n={n},m={m},k={k})")
-    # p = 2: zero deviations for a = 1, n <= 5
+    # p = 2: the proven 2-adic form, so a mismatch is a failure, for a = 1, n <= 5
     rep = explore_conjecture13(2, 1, 5)
-    if rep.deviations:
-        bad.append(f"p2 deviations={rep.deviations}")
+    if rep.failed:
+        bad.append(f"p2 failed={rep.failed}")
     # p = 5: zero deviations for a in 1..4 within the a*5^n <= 650 budget
     for a in range(1, 5):
         n_max = 0

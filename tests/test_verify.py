@@ -166,9 +166,11 @@ def test_unknown_limits_are_refused_with_the_allowed_ones(suite, allowed):
 
 
 def test_explore_conjecture13_examples():
-    assert explore_conjecture13(3, 1, 3).deviations == 0
+    # p = 3 and 2 are proven forms: a mismatch there is a failure, not a deviation
+    report = explore_conjecture13(3, 1, 3)
+    assert report.failed == 0 and report.deviations == 0
     report = explore_conjecture13(2, 1, 5)
-    assert report.total == 52 and report.deviations == 0
+    assert report.total == 52 and report.failed == 0 and report.deviations == 0
     report = explore_conjecture13(5, 1, 1)
     assert report.total == 3 and report.deviations == 0
 
