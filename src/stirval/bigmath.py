@@ -16,6 +16,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 from .errors import DomainError, InvariantError, RowTooLargeError
@@ -366,41 +367,42 @@ def _witness_points(p: int, n: int) -> list[int]:
     return ([1, 2, -1] if n >= 2 else [1, 2]) + [u for u in _WITNESS_UNITS if u % p][:2]
 
 
-def _off(residues: list[int], modulus: int, values: dict[int, int]) -> bool:
-    """Whether the residue polynomial differs from values[x] mod modulus at some point x."""
-    return any((_at(residues, x, modulus) - value) % modulus for x, value in values.items())
+def _check_witness(residues: list[int], modulus: int, values: dict[int, int], name: str) -> None:
+    """Refuse the residue polynomial named name if it differs from values[x]
+    mod modulus at some test point x.
 
-
-def _check_witness(p: int, n: int, residues: list[int], precision: int) -> None:
-    """Refuse a residue row that disagrees with x(x+1)...(x+n-1) at a test point.
-
-    At each point x the product is perm(x+n-1, n): n! at x = 1, (n+1)! at
-    x = 2 and, for n >= 2, 0 at x = -1; only x = 2 sees two same-parity
-    residues moved by +1 and -1.  A change c to residue k alone moves the
-    value at x by c*x^k, nonzero at a unit.  Several changes can still
-    cancel at any one point; to pass, they must cancel at all five.
+    For a row n the values are those of x(x+1)...(x+n-1) = perm(x+n-1, n):
+    n! at x = 1, (n+1)! at x = 2 and, for n >= 2, 0 at x = -1; only x = 2
+    sees two same-parity residues moved by +1 and -1.  A change c to residue
+    k alone moves the value at x by c*x^k, nonzero at a unit.  Several
+    changes can still cancel at any one point; to pass, they must cancel at
+    all five.
     """
-    values = {x: math.perm(x + n - 1, n) for x in _witness_points(p, n)}
-    if _off(residues, p**precision, values):
-        raise InvariantError(f"valuation row {n} mod {p}^{precision} fails its witness sums")
+    if any((_at(residues, x, modulus) - value) % modulus for x, value in values.items()):
+        raise InvariantError(f"{name} fails its witness sums")
+
+
+def _doubled(
+    read: Callable[[int], list[int]], precision: int, low: int, high: int,
+) -> tuple[list[int], int]:
+    """read(P) and P, for P doubled from precision until entries low..high of
+    read(P) are nonzero."""
+    while True:
+        residues = read(precision)
+        # each entry stands for an integer >= 1 (s(n, t) for 1 <= t <= n, or
+        # h_k), so a zero residue only means a valuation >= P: never read it,
+        # retry with more digits
+        if all(residues[low:high + 1]):
+            return residues, precision
+        precision *= 2
 
 
 def _checked_residues(p: int, n: int, precision: int, low: int = 1) -> list[int]:
     """Row n mod p^P from :func:`_residue_row`, with P doubled from precision
-    until residues low..n are nonzero, and checked by the witness; a refused
-    row is dropped from the store, so it is never read again."""
-    while True:
-        residues = _residue_row(p, n, p**precision)
-        # s(n, t) >= 1 for 1 <= t <= n, so a zero residue only means
-        # v_p(s(n, t)) >= P: never read it, retry with more digits
-        if all(residues[low:]):
-            break
-        precision *= 2
-    try:
-        _check_witness(p, n, residues, precision)
-    except InvariantError:
-        _drop_residues(p, n)
-        raise
+    until residues low..n are nonzero, and checked by the witness."""
+    residues, precision = _doubled(lambda q: _residue_row(p, n, p**q), precision, low, n)
+    values = {x: math.perm(x + n - 1, n) for x in _witness_points(p, n)}
+    _check_witness(residues, p**precision, values, f"valuation row {n} mod {p}^{precision}")
     return residues
 
 
@@ -413,52 +415,21 @@ def _low_band(p: int, m: int, precision: int) -> list[int]:
     U(x) = Q(x+1)...Q(x+p-1).  Mod p^precision, U(py) keeps only its first
     precision coefficients, coefficient d times p^d.  Row m passes the
     witness, U(py) must equal prod(pu + j, p not dividing j < pm) at its
-    points and h must equal prod(pu + j, j < pm) / p^m; a refusal drops row m.
+    points and h must equal prod(pu + j, j < pm) / p^m.
     """
     n, modulus = p * m, p**precision
     row = _residue_row(p, m, modulus)
-    try:
-        _check_witness(p, m, row, precision)
-        copies = _shifted_copies(list(row), p, modulus)[1:]
-        u = _product([c[:precision] for c in copies], modulus, precision)
-        u = [v * p**d % modulus for d, v in enumerate(u)]
-        units = {x: math.prod(p * x + j for j in range(n) if j % p) for x in _witness_points(p, n)}
-        if _off(u, modulus, units):
-            raise InvariantError(f"U(py) of valuation row {n} mod {p}^{precision} fails its witness sums")
-        h = _packed_product(row, u, modulus)
-        if _off(h, modulus, {x: math.perm(x + m - 1, m) * value for x, value in units.items()}):
-            raise InvariantError(f"h of valuation row {n} mod {p}^{precision} fails its witness sums")
-    except InvariantError:
-        _drop_residues(p, m)
-        raise
+    values = {x: math.perm(x + m - 1, m) for x in _witness_points(p, m)}
+    _check_witness(row, modulus, values, f"valuation row {m} mod {p}^{precision}")
+    copies = _shifted_copies(list(row), p, modulus)[1:]
+    u = _product([c[:precision] for c in copies], modulus, precision)
+    u = [v * p**d % modulus for d, v in enumerate(u)]
+    units = {x: math.prod(p * x + j for j in range(n) if j % p) for x in _witness_points(p, n)}
+    _check_witness(u, modulus, units, f"U(py) of valuation row {n} mod {p}^{precision}")
+    h = _packed_product(row, u, modulus)
+    values = {x: math.perm(x + m - 1, m) * value for x, value in units.items()}
+    _check_witness(h, modulus, values, f"h of valuation row {n} mod {p}^{precision}")
     return h
-
-
-def _flat_row(p: int, n: int) -> tuple[Valuation, ...]:
-    """Valuation row n >= 1 from one residue row, from :func:`_initial_precision` up."""
-    residues = _checked_residues(p, n, _initial_precision(p, n))
-    return (INFINITE, *(Valuation(_vp(p, r)) for r in residues[1:]))
-
-
-def _band_row(p: int, n: int) -> tuple[Valuation, ...]:
-    """Valuation row n = pm from h (entries k <= m) and row n at a few digits (k > m).
-
-    Row n is held only at those few digits, so a flat row n + 1 read after
-    it is built afresh rather than from row n."""
-    m = n // p
-    precision = _initial_precision(p, m)
-    while True:
-        h = _low_band(p, m, precision)
-        if all(h[1:m + 1]):  # as in _checked_residues: a zero h_k retries with more digits
-            break
-        precision *= 2
-    low = [m - k + _vp(p, h[k]) for k in range(1, m + 1)]
-    high = _checked_residues(p, n, _high_precision(p, n), m + 1)
-    if any(r and _vp(p, r) != v for r, v in zip(high[1:], low)):
-        _drop_residues(p, m)
-        _drop_residues(p, n)
-        raise InvariantError(f"valuation row {n} mod {p}: its two bands disagree")
-    return (INFINITE, *map(Valuation, low), *(Valuation(_vp(p, r)) for r in high[m + 1:]))
 
 
 def _takes_bands(p: int, n: int) -> bool:
@@ -474,16 +445,39 @@ def _takes_bands(p: int, n: int) -> bool:
     band's the bands took 20 to 46 % less time, even with m <= p, though
     1 to 3 ms more at (11, 242) and (31, 992) (1.56 and 1.7 times); at 1.22
     times or less they were 8 % to 2.5 times slower.  That row n + 1 is then
-    built afresh, not from a held row n, is not weighed (see :func:`_band_row`).
+    built afresh, not from a held row n, is not weighed (see
+    :func:`_valuation_row`).
     """
     return n % p == 0 and n >= _SPLIT_FROM and 2 * _initial_precision(p, n) > 3 * _high_precision(p, n)
 
 
 def _valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
-    """Valuation row n at prime p, built afresh and not held; no cap."""
+    """Valuation row n at prime p, built afresh and not held; no cap.
+
+    The low band starts at row m's own :func:`_initial_precision`, the high
+    band at :func:`_high_precision` after a low band and at row n's
+    :func:`_initial_precision` without one (m = 0): a flat row is a band row
+    with no low band.  Each band doubles its own precision, and an entry
+    k <= m with a nonzero high-band residue must have the valuation the low
+    band gives it.  Any refusal drops row n and row m, so neither is read
+    again.  Row n is held at the precision its high band reached, so after a
+    band row n a flat row n + 1 is built afresh rather than from row n.
+    """
     if n == 0:
         return (Valuation(0),)
-    return _band_row(p, n) if _takes_bands(p, n) else _flat_row(p, n)
+    m = n // p if _takes_bands(p, n) else 0
+    try:
+        h = _doubled(partial(_low_band, p, m), _initial_precision(p, m), 1, m)[0] if m else []
+        low = [m - k + _vp(p, h[k]) for k in range(1, m + 1)]
+        high = _checked_residues(p, n, _high_precision(p, n) if m else _initial_precision(p, n), m + 1)
+        if any(r and _vp(p, r) != v for r, v in zip(high[1:], low)):
+            raise InvariantError(f"valuation row {n} mod {p}: its two bands disagree")
+    except InvariantError:
+        _drop_residues(p, n)
+        if m:
+            _drop_residues(p, m)
+        raise
+    return (INFINITE, *map(Valuation, low), *(Valuation(_vp(p, r)) for r in high[m + 1:]))
 
 
 def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
@@ -494,18 +488,13 @@ def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
     the valuation of the number itself, and a zero residue doubles the
     precision and asks again, so every entry is exact, never a bound.
 
-    A row that :func:`_takes_bands` (p | n = pm, n >= _SPLIT_FROM, and a
-    flat start over 1.5 times the high band's) is read from two bands: entries
-    k <= m as m - k + v_p(h_k) from :func:`_low_band`, which reads row m
-    from row m's own start (``_initial_precision(p, m)``), not row n's, and
-    entries k > m from row n at a few digits (:func:`_high_precision`);
-    each band doubles its own precision.  Every entry k <= m
-    with a nonzero residue in the second band must have the same valuation
-    in both.  Every other row is read flat, row n modulo p**P with P from
-    :func:`_initial_precision`.  Whatever path gave the residues, each is
-    checked at its witness points, and a refused residue row is dropped from
-    the store.  Entry 0 is infinite for n >= 1 (s(n, 0) = 0), and the
-    single entry of n = 0 is 0.
+    Every row n >= 1 is read by :func:`_valuation_row` from two bands:
+    entries k <= m as m - k + v_p(h_k) from :func:`_low_band`, and entries
+    k > m from row n.  m = n/p for a row that :func:`_takes_bands` (p | n,
+    n >= _SPLIT_FROM, and a flat start over 1.5 times the high band's) and
+    m = 0 for every other row, which is read flat.  Each residue row, U(py)
+    and h is checked at its witness points.  Entry 0 is infinite for n >= 1
+    (s(n, 0) = 0), and the single entry of n = 0 is 0.
     """
     q = as_prime(p).p
     _check_row_cap(n)

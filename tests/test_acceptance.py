@@ -207,3 +207,13 @@ def test_ac9_oracle_speed_floor_informational():
     note = "meets" if ratio >= 100 else "below"
     # informational floor: report the ratio, never hard-fail on it
     _verdict("AC9", ran, f"speedup {ratio:.0f}x ({note} the 100x floor)")
+
+
+def test_ac10_proven_grid_n_up_to_7():
+    """The paper's exhaustive grid one step past its n <= 6: every cell
+    a*3^n with a in {1, 2} and n <= 7, rows up to 4374 (and 4375 for thm2)."""
+    want = {"thm1": 9809, "cor1": 6557, "thm2": 9837, "thm34": 14, "lemma22": 4915}
+    got = {suite: sweep(suite, {"n_max": 7}) for suite in want}
+    counts = {suite: (report.total, report.failed) for suite, report in got.items()}
+    ok = counts == {suite: (total, 0) for suite, total in want.items()}
+    _verdict("AC10", ok, f"(records, failed) at n <= 7: {counts}")

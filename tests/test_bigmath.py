@@ -1235,6 +1235,17 @@ def h(p, n):
     bigmath._packed_product = corrupted
 
 
+def row_n(p, n):
+    # the high band reads row n at its first precision, after the low band
+    def corrupted(q, size, modulus):
+        c = residue_row(q, size, modulus)
+        if size == n and modulus == q ** bigmath._high_precision(q, n) and not fired:
+            fired.append(size)
+            c[n // p + 1] += 1
+        return c
+    bigmath._residue_row = corrupted
+
+
 def disagreement(p, n):
     def corrupted(q, size, precision, low=1):
         c = checked(q, size, precision, low)
@@ -1249,7 +1260,8 @@ def disagreement(p, n):
 try:
     # each refusal names the check that made it
     refusals = [(row_m, "valuation row {m} mod {p}^"), (unit_factor, "U(py) of valuation row {n} mod"),
-                (h, "h of valuation row {n} mod"), (disagreement, "row {n} mod {p}: its two bands disagree")]
+                (h, "h of valuation row {n} mod"), (row_n, "valuation row {n} mod {p}^"),
+                (disagreement, "row {n} mod {p}: its two bands disagree")]
     for corrupt, refusal in refusals:
         for p, n in BAND_ROWS[::2]:
             message = refusal.format(p=p, n=n, m=n // p)
@@ -1268,9 +1280,8 @@ try:
                 bigmath._packed_product, bigmath._checked_residues = packed, checked
             if len(fired) != 1:
                 raise SystemExit(f"{corrupt.__name__} fired {len(fired)} times at row {n}")
-            # the refused band drops the rows it read: row m, and row n on a disagreement
-            dropped = [n // p, n] if corrupt is disagreement else [n // p]
-            if any((p, size, bigmath._RESIDUES) in bigmath._rows for size in dropped):
+            # one rule for every refusal: neither row m nor row n stays held
+            if any((p, size, bigmath._RESIDUES) in bigmath._rows for size in (n // p, n)):
                 raise SystemExit(f"a refused row of {corrupt.__name__} stays held at row {n}")
 finally:
     bigmath._residue_row, bigmath._product = residue_row, product
@@ -1281,9 +1292,10 @@ print("ok")
 
 
 def test_band_checks_refuse_a_corrupted_row_m_unit_factor_or_h_and_a_disagreement(cold_rows):
-    """One entry of row m, of U(py) or of h off by one is refused by that
-    part's own witness points, and an entry k <= m of the high band with one
-    more p than the low band gives is refused by the comparison of the bands."""
+    """One entry of row m, of U(py), of h or of the high band's row n off by
+    one is refused by that part's own witness points, and an entry k <= m of
+    the high band with one more p than the low band gives is refused by the
+    comparison of the bands; each refusal drops both row m and row n."""
     cold_rows()
     exec(compile(_CORRUPT_BAND, "<corrupt-band>", "exec"), {})
 

@@ -244,10 +244,10 @@ def test_over_cap_identity_grids_build_no_row(cold_rows, monkeypatch, suite, lim
     assert expand_calls == []
 
 
-#: The suites built on the one a*p^n sweep body, each on a small grid: its
+#: The suites that read one valuation row per cell, each on a small grid: its
 #: limits, the (p, N) rows it must read (one per cell, largest first; thm2
-#: reads row top + 1), and, in the first row read, the indices at which the
-#: suite's claim is exact.
+#: reads row top + 1, and lemma22 reads its row once per record), and, in the
+#: first row read, the indices at which the suite's claim is exact.
 _SWEEP_READS = {
     "thm1": ({"n_max": 2}, [(3, 18), (3, 9), (3, 6), (3, 3)], lambda row: range(1, 17)),
     "cor1": ({"n_max": 2}, [(3, 18), (3, 9), (3, 6), (3, 3)], lambda row: range(5, 17)),
@@ -255,14 +255,17 @@ _SWEEP_READS = {
     "thm34": ({"n_max": 3}, [(3, 54), (3, 27), (3, 18), (3, 9), (3, 6), (3, 3)],
               lambda row: [max(range(1, len(row)), key=row.__getitem__)]),  # the peak
     "conjecture13": ({"p": 5, "n_max": 2}, [(5, 25), (5, 5)], lambda row: range(1, 24)),
+    # each index 2..N is compared by exactly one record
+    "lemma22": ({"n_max": 2}, [(3, 18)] * 9 + [(3, 9)] * 4 + [(3, 6)] * 3 + [(3, 3)],
+                lambda row: range(2, len(row))),
 }
 
 
 def _sweep_reads(suite: str) -> dict:
     """Run ``suite`` with ``verify.valuation_row`` wrapped: once as it is, recording
-    the rows read, and once with one entry of the first row raised by 1, at a
-    seeded index where the claim is exact.  Returns data, not asserts, so that a
-    ``python -O`` run is checked too."""
+    the rows read, and once with one entry of the first row raised by 1 on
+    every read of that row, at a seeded index where the claim is exact.
+    Returns data, not asserts, so that a ``python -O`` run is checked too."""
     limits, _, exact_at = _SWEEP_READS[suite]
     real = verify.valuation_row
     reads, raised = [], []
@@ -273,10 +276,11 @@ def _sweep_reads(suite: str) -> dict:
 
     def raising(p, n):
         row = real(p, n)
-        if raised:
+        if [p, n] != reads[0]:
             return row
-        i = random.Random(suite).choice(list(exact_at(row)))
-        raised.append(i)
+        if not raised:
+            raised.append(random.Random(suite).choice(list(exact_at(row))))
+        i = raised[0]
         return row[:i] + (row[i] + 1,) + row[i + 1:]
 
     try:
