@@ -16,8 +16,8 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate
+from functools import partial, reduce
+from itertools import accumulate, repeat
 
 from .errors import DomainError, InvariantError, RowTooLargeError
 from .padic import INFINITE, Prime, Valuation, _str, _vp, as_prime, vp_factorial
@@ -172,7 +172,7 @@ def stirling1(n: int, k: int) -> int:
 
 
 def _initial_precision(p: int, n: int) -> int:
-    """The first precision P tried for a flat row n >= 1: P = v_p(n!) + 1,
+    """The first precision P tried for a row n >= 1 read as one band: P = v_p(n!) + 1,
     and v_p(n!) + 2 when p^2 > n.
 
     v_p(n!) + 1 is one above v_p(s(n, 1)) = v_p((n-1)!), plus v_p(n), so the
@@ -188,9 +188,12 @@ def _initial_precision(p: int, n: int) -> int:
 
 
 def _high_precision(p: int, n: int) -> int:
-    """The first precision tried for the entries k > n/p of a two-band row n:
-    a few digits, from n alone (entries k > m of row 1458 at p = 3 stay
-    under 20).  A starting guess only, like :func:`_initial_precision`."""
+    """The first precision tried for every band of a row n read in levels
+    (:func:`_read_levels`): a few digits, from n alone.  At row 1458, p = 3,
+    it is 22, and the seven bands need P = 18, 15, 12, 9, 6, 3 and 1: an
+    entry of band l has valuation E_l - l k + v_p(P_l[k]), so the digits
+    that E_l - l k carries are never held.  A starting guess only, like
+    :func:`_initial_precision`."""
     return 2 * n.bit_length()
 
 
@@ -266,20 +269,55 @@ def _times_linear(c: list[int], f: int, modulus: int) -> list[int]:
 def _split_rising(p: int, n: int, modulus: int) -> list[int]:
     """The residue row of x(x+1)...(x+n-1) from that of x(x+1)...(x+m-1), n = dm + r.
 
-    d is the smallest divisor of n in [2, p] (r = 0), or p if n has none.
     Grouping the factors x + j of x(x+1)...(x+dm-1) by j mod d (Lemmas 2.4
     and 2.5, which hold for any d >= 2) gives Q(x) Q(x+1) ... Q(x+d-1), where
     Q(z) = prod_{i<m} (z + id) = sum_k s(m, k) d^(m-k) z^k; the r factors
-    x + dm, ..., x + n - 1 follow.  Row m comes from :func:`_residue_row`, so
-    it is held too: a largest-first grid at p = 3 splits row 2*3^6 by 2 into
-    row 3^6, that by 3 into row 3^5, and so on, each a row the grid reads.
+    x + dm, ..., x + n - 1 follow.  Mod p^P with d = p, only the top P
+    coefficients of Q are nonzero, so once n // p > 2P, d = p and the copies
+    come from :func:`_top_copies`, in O(m) steps each rather than an O(m^2)
+    Taylor shift.  Otherwise d is the smallest divisor of n in [2, p]
+    (r = 0), or p if n has none.  Row m comes from :func:`_residue_row`, so
+    it is held too: a largest-first grid at p = 3 splits row 2*3^6 by 3 into
+    row 2*3^5, that into row 2*3^4, and so on, each a row the grid reads.
+    Splitting by d = p also where Q has at most P terms won at (2477, 4954)
+    and (997, 4985) but lost up to 1.7 times at p <= 101 (BENCH_22.json).
     """
-    d = next((d for d in range(2, p) if n % d == 0), p)
+    precision = _vp(p, modulus)
+    top = n // p > 2 * precision
+    d = p if top else next((d for d in range(2, p) if n % d == 0), p)
     m, r = divmod(n, d)
-    factors = _shifted_copies(_residue_row(p, m, modulus), d, modulus)
+    row = _residue_row(p, m, modulus)
+    skip = m - precision + 1 if top else 0
+    factors = _top_copies(row[skip:], skip, p, modulus) if top else _shifted_copies(row, d, modulus)
     if r:
         factors.append(_expand_rising(r, d * m, modulus))
-    return _product(factors, modulus)
+    return [0] * skip + _product(factors, modulus)
+
+
+def _top_copies(top: list[int], skip: int, p: int, modulus: int, terms: int | None = None) -> list[list[int]]:
+    """R(x), (x+1)^skip R(x+1), ..., (x+p-1)^skip R(x+p-1) from the top
+    entries s(m, skip..m) of row m, where Q(x) = x^skip R(x) mod p^P; with
+    terms, only the first terms coefficients of each.
+
+    Coefficient k of Q(z) = prod_{i<m} (z + ip) is s(m, k) p^(m-k), so mod
+    p^P only its top P, k > m - P, are nonzero: Q(x+j) needs a shift of R's
+    P terms and the binomial row (x+j)^skip, not an O(m^2) shift of row m.
+    """
+    size = len(top)
+    top = [v * p ** (size - 1 - i) % modulus for i, v in enumerate(top)]
+    binomials = [1]
+    for i in range(min(skip, terms or skip)):
+        binomials.append(binomials[-1] * (skip - i) // (i + 1))
+    binomials = [c % modulus for c in binomials]
+    copies = [top]
+    for j in range(1, p):
+        top = _shift_by_one(top, modulus)
+        # j^(skip - i) for the binomial C(skip, i), i < len(binomials)
+        low = pow(j, skip - len(binomials) + 1, modulus)
+        powers = reversed(list(accumulate(repeat(j, len(binomials) - 1), lambda a, b: a * b % modulus, initial=low)))
+        row = [c * w % modulus for c, w in zip(binomials, powers)]
+        copies.append(_truncated_product(row, top, modulus, terms) if terms else _packed_product(row, top, modulus))
+    return copies
 
 
 def _shifted_copies(row: list[int], d: int, modulus: int) -> list[list[int]]:
@@ -295,14 +333,20 @@ def _shifted_copies(row: list[int], d: int, modulus: int) -> list[list[int]]:
     return copies
 
 
-def _product(factors: list[list[int]], modulus: int, terms: int | None = None) -> list[int]:
+def _product(factors: list[list[int]], modulus: int) -> list[int]:
     """The product of residue polynomials mod modulus, multiplying neighbours
-    so operands stay balanced; with terms, only its first terms coefficients."""
+    so operands stay balanced."""
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
-        pairs = zip(factors[::2], factors[1::2])
-        factors = [_packed_product(a, b, modulus)[:terms] for a, b in pairs] + odd
-    return factors[0][:terms]
+        factors = [_packed_product(a, b, modulus) for a, b in zip(factors[::2], factors[1::2])] + odd
+    return factors[0]
+
+
+def _truncated_product(a: list[int], b: list[int], modulus: int, terms: int) -> list[int]:
+    """The first terms coefficients of a(x) b(x), mod modulus, term by term: for
+    a few terms this is cheaper than packing."""
+    return [sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k + 1, len(a)))) % modulus
+            for k in range(min(terms, len(a) + len(b) - 1))]
 
 
 #: A Taylor shift reduces its partial sums once per this many passes.  Each
@@ -338,15 +382,17 @@ def _packed_product(a: list[int], b: list[int], modulus: int) -> list[int]:
         Decimal("".join(_str(v).zfill(width) for v in reversed(a))),
         Decimal("".join(_str(v).zfill(width) for v in reversed(b))),
     )).zfill(size * width)
-    end = len(digits)
-    return [_read_int(digits[end - (k + 1) * width:end - k * width]) % modulus for k in range(size)]
-
-
-def _read_int(digits: str) -> int:
-    """int(digits) for a slot, which may pass int()'s digit limit: read in
-    pieces no longer than the limit, or of 4300 digits if there is none (a
-    limit of 0, or no such call)."""
+    # int()'s digit limit, or pieces of 4300 digits if there is none (a limit
+    # of 0, or no such call): a slot past it is read in pieces
     piece = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    read = int if width <= piece else partial(_read_int, piece=piece)
+    end = len(digits)
+    return [read(digits[end - (k + 1) * width:end - k * width]) % modulus for k in range(size)]
+
+
+def _read_int(digits: str, piece: int) -> int:
+    """int(digits) for a slot wider than int()'s digit limit, read in pieces
+    of at most piece digits."""
     head = len(digits) % piece or piece
     value = int(digits[:head])
     for start in range(head, len(digits), piece):
@@ -382,119 +428,150 @@ def _check_witness(residues: list[int], modulus: int, values: dict[int, int], na
         raise InvariantError(f"{name} fails its witness sums")
 
 
-def _doubled(
-    read: Callable[[int], list[int]], precision: int, low: int, high: int,
-) -> tuple[list[int], int]:
-    """read(P) and P, for P doubled from precision until entries low..high of
-    read(P) are nonzero."""
-    while True:
-        residues = read(precision)
-        # each entry stands for an integer >= 1 (s(n, t) for 1 <= t <= n, or
-        # h_k), so a zero residue only means a valuation >= P: never read it,
-        # retry with more digits
-        if all(residues[low:high + 1]):
-            return residues, precision
-        precision *= 2
+def _unit_factor(p: int, size: int, precision: int) -> list[int]:
+    """The first precision coefficients of U(py) mod p^precision, where
+    U(x) = prod (x + u) over u < size with p not dividing u: coefficient d
+    of U(py) carries p^d, so the rest vanish.
 
-
-def _checked_residues(p: int, n: int, precision: int, low: int = 1) -> list[int]:
-    """Row n mod p^P from :func:`_residue_row`, with P doubled from precision
-    until residues low..n are nonzero, and checked by the witness."""
-    residues, precision = _doubled(lambda q: _residue_row(p, n, p**q), precision, low, n)
-    values = {x: math.perm(x + n - 1, n) for x in _witness_points(p, n)}
-    _check_witness(residues, p**precision, values, f"valuation row {n} mod {p}^{precision}")
-    return residues
-
-
-def _low_band(p: int, m: int, precision: int) -> list[int]:
-    """h mod p^precision, where s(pm, k) = p^(m-k) h_k, from row m at that precision.
-
-    Put x = py in x(x+1)...(x+pm-1) = Q(x)Q(x+1)...Q(x+p-1) (see
-    :func:`_split_rising`, d = p): Q(py) = p^m R(y), R the row m, so
-    sum_k s(pm, k) p^k y^k = p^m h(y) with h(y) = R(y) U(py) and
-    U(x) = Q(x+1)...Q(x+p-1).  Mod p^precision, U(py) keeps only its first
-    precision coefficients, coefficient d times p^d.  Row m passes the
-    witness, U(py) must equal prod(pu + j, p not dividing j < pm) at its
-    points and h must equal prod(pu + j, j < pm) / p^m.
+    With size = pm + r, U(x) = Q(x+1)...Q(x+p-1) (x+pm+1)...(x+pm+r-1),
+    Q(z) = prod_{i<m} (z + ip), whose copies come from :func:`_top_copies`
+    once m > 2P, as in :func:`_split_rising`: a copy costs a few P^2 steps,
+    against m P for its m factors one by one, which the loop below takes for
+    m <= 2P: the two were even near m = 2P at p = 3 and at p = 53, and at
+    p = 2477, m = 2 the copies took 23 ms against 3 ms (2-vCPU VM, best of 7).
     """
-    n, modulus = p * m, p**precision
-    row = _residue_row(p, m, modulus)
-    values = {x: math.perm(x + m - 1, m) for x in _witness_points(p, m)}
-    _check_witness(row, modulus, values, f"valuation row {m} mod {p}^{precision}")
-    copies = _shifted_copies(list(row), p, modulus)[1:]
-    u = _product([c[:precision] for c in copies], modulus, precision)
-    u = [v * p**d % modulus for d, v in enumerate(u)]
-    units = {x: math.prod(p * x + j for j in range(n) if j % p) for x in _witness_points(p, n)}
-    _check_witness(u, modulus, units, f"U(py) of valuation row {n} mod {p}^{precision}")
-    h = _packed_product(row, u, modulus)
-    values = {x: math.perm(x + m - 1, m) * value for x, value in units.items()}
-    _check_witness(h, modulus, values, f"h of valuation row {n} mod {p}^{precision}")
-    return h
+    modulus = p**precision
+    m, r = divmod(size, p)
+    if m <= 2 * precision:
+        c = [1] + [0] * (precision - 1)
+        for i, u in enumerate(u for u in range(1, size) if u % p):
+            # multiply by (x + u) in place, high k first so c[k-1] is still old
+            for k in range(precision - 1, 0, -1):
+                c[k] = c[k] * u + c[k - 1]
+            c[0] *= u
+            if i % _REDUCE_EVERY == _REDUCE_EVERY - 1:
+                c = [v % modulus for v in c]
+    else:
+        skip = m - precision + 1
+        factors = _top_copies(_residue_row(p, m, modulus)[skip:], skip, p, modulus, precision)[1:]
+        if r > 1:
+            factors.append(_expand_rising(r - 1, p * m + 1, modulus)[:precision])
+        c = reduce(partial(_truncated_product, modulus=modulus, terms=precision), factors)
+    return [v * p**d % modulus for d, v in enumerate(c)]
 
 
-def _takes_bands(p: int, n: int) -> bool:
-    """Whether row n is read from two bands: p | n, n >= _SPLIT_FROM, and
-    the flat row's start (:func:`_initial_precision`) more than half again
-    the high band's (:func:`_high_precision`).
+def _chain(p: int, n: int) -> list[int]:
+    """The chain rows M_l = ceil(n / p^l) of row n >= 1, from M_0 = n down to the
+    last above 1 (n alone for n <= p)."""
+    sizes = [n]
+    while (size := -(-sizes[-1] // p)) > 1:
+        sizes.append(size)
+    return sizes
 
-    Row n's digits are what the bands save; row m, U(py) and their checks
-    cost little beside them, but at a few digits a row's cost is mostly
-    per coefficient, not per digit.  The 1.5 comes from timing both paths
-    in fresh processes (median of 7, 2-vCPU VM; BENCH_18.json and the
-    README's two-band section): at flat starts 1.65 to 2.3 times the high
-    band's the bands took 20 to 46 % less time, even with m <= p, though
-    1 to 3 ms more at (11, 242) and (31, 992) (1.56 and 1.7 times); at 1.22
-    times or less they were 8 % to 2.5 times slower.  That row n + 1 is then
-    built afresh, not from a held row n, is not weighed (see
-    :func:`_valuation_row`).
+
+def _read_levels(p: int, n: int, sizes: list[int], precision: int) -> list[int] | None:
+    """v_p(s(n, k)) for k = 0..n (entry 0 unused) from the bands of row n
+    mod p^precision, or None if an entry of a band is zero there.
+
+    Put x = p^l y in F_n(x) = x(x+1)...(x+n-1) and group its factors x + j
+    by v_p(j) (Lemmas 2.4 and 2.5): the M_l factors with p^l | j give
+    p^(l M_l) F_{M_l}(y), each other one p^(v_p(j)) times a factor with a
+    unit constant term, so F_n(p^l y) = p^(E_l) F_{M_l}(y) W_l(y) with
+    E_l = M_1 + ... + M_l, W_0 = 1 and W_l(y) = W_{l-1}(py) U(py), U over
+    u < M_{l-1} (:func:`_unit_factor`).  Coefficient d of W_l carries p^d, so mod p^P
+    it has P terms.  Band l, P_l = F_{M_l} W_l mod p^P, gives
+    v_p(s(n, k)) = E_l - l k + v_p(P_l[k]) for k in (M_{l+1}, M_l], and
+    band L, the last, for k in [1, M_L].  At each level W_l must equal
+    F_n(p^l u) / (p^(E_l) F_{M_l}(u)) and the whole of P_l, not cut at
+    M_l, F_n(p^l u) / p^(E_l) at the witness points u; at u = -1, a root
+    of F_{M_l}, W_l's value is the ratio with the factors y + 1 taken out.
+    Wherever a band's residue of an entry read by a deeper band is nonzero,
+    it must give that band's valuation.
     """
-    return n % p == 0 and n >= _SPLIT_FROM and 2 * _initial_precision(p, n) > 3 * _high_precision(p, n)
+    modulus, bounds = p**precision, sizes[1:] + [0]
+    unit, exponent, bands = [1], 0, []
+    for level, (size, below) in enumerate(zip(sizes, bounds)):
+        band = _residue_row(p, size, modulus)
+        if level:
+            exponent += size
+            scaled = [v * p**d % modulus for d, v in enumerate(unit)]  # W_{l-1}(py)
+            unit = _truncated_product(scaled, _unit_factor(p, sizes[level - 1], precision), modulus, precision)
+            band = _packed_product(band, unit, modulus)
+        # each entry stands for an integer >= 1, so a zero residue only means a
+        # valuation >= P: never read it, retry with more digits
+        if not all(band[below + 1:size + 1]):
+            return None
+        bands.append((band, unit, exponent))
+    valuations = [0] * (n + 1)
+    for level, ((band, unit, exponent), size, below) in enumerate(zip(bands, sizes, bounds)):
+        power, name = p**level, f"level {level} of valuation row {n} mod {p}^{precision}"
+        values = {x: math.perm(power * x + n - 1, n) // p**exponent for x in _witness_points(p, n)}
+        if level:
+            units = {x: value // math.perm(x + size - 1, size) for x, value in values.items() if x > 0}
+            if -1 in values:  # F_n(p^l y) / (p^l y + p^l) over p^(E_l) F_{M_l}(y) / (y + 1) / p^l
+                units[-1] = ((-1) ** (power + 1) * power * math.factorial(power) * math.factorial(n - 1 - power)
+                             // (p**exponent * math.factorial(size - 2)))
+            _check_witness(unit, modulus, units, f"unit factor at {name}")
+        _check_witness(band, modulus, values, name)
+        for k in range(below + 1, size + 1):
+            valuations[k] = exponent - level * k + _vp(p, band[k])
+    for level, ((band, _, exponent), below) in enumerate(zip(bands, bounds)):
+        if any(band[k] and exponent - level * k + _vp(p, band[k]) != valuations[k] for k in range(1, below + 1)):
+            raise InvariantError(f"valuation row {n} mod {p}^{precision}: band {level} disagrees with a deeper band")
+    return valuations
 
 
 def _valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
     """Valuation row n at prime p, built afresh and not held; no cap.
 
-    The low band starts at row m's own :func:`_initial_precision`, the high
-    band at :func:`_high_precision` after a low band and at row n's
-    :func:`_initial_precision` without one (m = 0): a flat row is a band row
-    with no low band.  Each band doubles its own precision, and an entry
-    k <= m with a nonzero high-band residue must have the valuation the low
-    band gives it.  Any refusal drops row n and row m, so neither is read
-    again.  Row n is held at the precision its high band reached, so after a
-    band row n a flat row n + 1 is built afresh rather than from row n.
+    All bands of :func:`_read_levels` are read at one precision P, doubled
+    on any zero band entry.  A row n >= _SPLIT_FROM whose flat start
+    (:func:`_initial_precision`) is over 1.5 times :func:`_high_precision`
+    takes every level of its chain from P = _high_precision; any other row
+    is one band, row n itself, from P = _initial_precision.  The 1.5 is
+    timed (median of 5 fresh processes, 2-vCPU VM; BENCH_22.json): each
+    further level costs a row, a unit factor and their checks, about 1 ms
+    near N = 300, so at flat starts up to 1.22 times the levels took 1.1 to
+    2.3 times as long as one band; from 1.65 times they took 0.11 to 0.95
+    times from N = 343 up, and between 1.5 and 1.65 times (31, 899),
+    (11, 242) and (13, 338) took 1.1 to 1.8 times, a few ms.  Any refusal
+    drops every row that :func:`_read_levels` read, so none is read again.
     """
     if n == 0:
         return (Valuation(0),)
-    m = n // p if _takes_bands(p, n) else 0
+    start, flat = _high_precision(p, n), _initial_precision(p, n)
+    sizes, precision = (_chain(p, n), start) if n >= _SPLIT_FROM and 2 * flat > 3 * start else ([n], flat)
     try:
-        h = _doubled(partial(_low_band, p, m), _initial_precision(p, m), 1, m)[0] if m else []
-        low = [m - k + _vp(p, h[k]) for k in range(1, m + 1)]
-        high = _checked_residues(p, n, _high_precision(p, n) if m else _initial_precision(p, n), m + 1)
-        if any(r and _vp(p, r) != v for r, v in zip(high[1:], low)):
-            raise InvariantError(f"valuation row {n} mod {p}: its two bands disagree")
+        while (valuations := _read_levels(p, n, sizes, precision)) is None:
+            precision *= 2
     except InvariantError:
-        _drop_residues(p, n)
-        if m:
-            _drop_residues(p, m)
+        # the chain rows ceil(n / p^l), and the rows floor(n / p^l) that the
+        # splits and unit factors read
+        for size in {*sizes, *(n // p**level for level in range(1, len(sizes) + 1))}:
+            _drop_residues(p, size)
         raise
-    return (INFINITE, *map(Valuation, low), *(Valuation(_vp(p, r)) for r in high[m + 1:]))
+    return (INFINITE, *map(Valuation, valuations[1:]))
 
 
 def valuation_row(p: int | Prime, n: int) -> tuple[Valuation, ...]:
     """The row v_p(s(n, 0..n)) of exact valuations, held in the row store under its budget.
 
-    Each entry is read from a residue of s(n, k) modulo a power of p, from
-    :func:`_residue_row`, never from the exact row: a nonzero residue has
-    the valuation of the number itself, and a zero residue doubles the
-    precision and asks again, so every entry is exact, never a bound.
+    Each entry is read from a residue modulo a power of p of s(n, k) times a
+    known power of p, from :func:`_residue_row`, never from the exact row: a
+    nonzero residue has the valuation of the number itself, and a zero
+    residue doubles the precision and asks again, so every entry is exact,
+    never a bound.
 
-    Every row n >= 1 is read by :func:`_valuation_row` from two bands:
-    entries k <= m as m - k + v_p(h_k) from :func:`_low_band`, and entries
-    k > m from row n.  m = n/p for a row that :func:`_takes_bands` (p | n,
-    n >= _SPLIT_FROM, and a flat start over 1.5 times the high band's) and
-    m = 0 for every other row, which is read flat.  Each residue row, U(py)
-    and h is checked at its witness points.  Entry 0 is infinite for n >= 1
-    (s(n, 0) = 0), and the single entry of n = 0 is 0.
+    Every row n >= 1 is read by :func:`_valuation_row`, in bands: band l
+    holds the entries k in (M_{l+1}, M_l], M_l = ceil(n / p^l), as
+    E_l - l k + v_p(P_l[k]), where P_l = F_{M_l} W_l comes from chain row
+    M_l and a unit factor W_l of P terms (:func:`_read_levels`).  All bands
+    share one precision P, a few digits (:func:`_high_precision`).  A row
+    below _SPLIT_FROM, or whose flat start (:func:`_initial_precision`) is
+    at most 1.5 times that, is read as one band, row n itself.  Each band
+    and unit factor is checked at its witness points, and the bands must
+    agree wherever a shallower one sees an entry.  Entry 0 is infinite for
+    n >= 1 (s(n, 0) = 0), and the single entry of n = 0 is 0.
     """
     q = as_prime(p).p
     _check_row_cap(n)

@@ -769,9 +769,9 @@ def test_witness_on_the_split_path_survives_python_O():
 _FORCED_SPLIT_DOUBLING = _EMPTY_STORE + """
 from stirval import stirling1_row, valuation_row, vp_int
 
-split, initial, high = bigmath._split_rising, bigmath._initial_precision, bigmath._high_precision
-takes_bands = bigmath._takes_bands
-split_builds = []
+split, reader = bigmath._split_rising, bigmath._read_levels
+initial, high = bigmath._initial_precision, bigmath._high_precision
+split_builds, paths = [], []
 
 
 def counting_split(p, n, modulus):
@@ -779,30 +779,43 @@ def counting_split(p, n, modulus):
     return split(p, n, modulus)
 
 
-# rows 486 and 729 take two bands, rows 401 and 252 the flat path; each keeps
-# the path its real start guesses pick once both guesses are forced to 1
-rows = {(3, 486): True, (3, 729): True, (2, 401): False, (5, 252): False}
-if any(takes_bands(p, n) != bands for (p, n), bands in rows.items()):
-    raise SystemExit("a row takes another path than this test expects")
-bigmath._split_rising, bigmath._takes_bands = counting_split, lambda p, n: rows[p, n]
-bigmath._initial_precision = bigmath._high_precision = lambda p, n: 1
-empty_store()
+def recording(p, n, sizes, precision):
+    paths.append((p, n, len(sizes) > 1))
+    return reader(p, n, sizes, precision)
+
+
+# rows 486, 729, 401 and 252 are read in levels from _high_precision, rows
+# 306 and 380 as one band from _initial_precision; forcing the start of its
+# own path to 1 keeps each row on that path
+rows = {(3, 486): True, (3, 729): True, (2, 401): True, (5, 252): True, (17, 306): False, (19, 380): False}
+bigmath._split_rising, bigmath._read_levels = counting_split, recording
 try:
-    for p, n in rows:
+    for (p, n), levels in rows.items():
         if n < bigmath._SPLIT_FROM:
             raise SystemExit(f"row {n} is below the crossover")
-        if valuation_row(p, n) != tuple(vp_int(p, v) for v in stirling1_row(n)):
+        empty_store()
+        if levels:
+            bigmath._high_precision = lambda p, n: 1
+        else:
+            bigmath._initial_precision = lambda p, n: 1
+        try:
+            row = valuation_row(p, n)
+        finally:
+            bigmath._initial_precision, bigmath._high_precision = initial, high
+        if row != tuple(vp_int(p, v) for v in stirling1_row(n)):
             raise SystemExit(f"valuation_row({p}, {n}) is not exact")
-        # at P = 1 the residues of s(n, t) with p | s(n, t) are 0, so the row
-        # rebuilds: a flat row, or a band row's high band
+        if {path for q, size, path in paths if (q, size) == (p, n)} != {levels}:
+            raise SystemExit(f"valuation_row({p}, {n}) took the wrong path")
+        # at P = 1 the residues of s(n, t) with p | s(n, t) are 0, so row n is
+        # split again with more digits, in levels or as one band
         if split_builds.count((p, n)) < 2:
             raise SystemExit(f"no doubling: {split_builds.count((p, n))} split build(s) of row {n}")
-    # row 729's low band reads row 243, split too, at each precision it doubles to
+    # row 729's chain row 243 is split too, at each precision its levels double to
     if split_builds.count((3, 243)) < 2:
         raise SystemExit(f"no doubling: {split_builds.count((3, 243))} split build(s) of row 243")
 finally:
-    bigmath._split_rising, bigmath._initial_precision, bigmath._high_precision = split, initial, high
-    bigmath._takes_bands = takes_bands
+    bigmath._split_rising, bigmath._read_levels = split, reader
+    bigmath._initial_precision, bigmath._high_precision = initial, high
     empty_store()
 print("ok")
 """
@@ -906,10 +919,11 @@ def test_grid_rows_are_the_same_largest_or_smallest_first(cold_rows):
 def test_residue_rows_count_against_the_row_budget(cold_rows):
     """Exact, residue and valuation rows share one byte budget: a chain of
     residue rows evicts the least recently used rows, exact ones too, to stay
-    within it.  Row 1458 takes two bands; the largest row they hold is row
-    1458 itself, at the few digits of its high band, 1459 entries of about
-    44 bytes.  The budget holds that row and a quarter more beside the
-    valuation row 1458, held last."""
+    within it.  Row 1458 is read in levels at P = 22, from its chain rows
+    1458, 486, 162, 54, 18, 6 and 2; the largest is row 1458 itself, 1459
+    entries of about 43 bytes.  The budget holds that row and a quarter more
+    beside the valuation row 1458, held last: the chain rows below it, read
+    again after row 1458, stay, and row 1458 and the exact row go."""
     modulus = 3 ** bigmath._high_precision(3, 1458)
     budget = bigmath._row_bytes(tuple(_EXPAND(1458, 0, modulus))) * 5 // 4 + 48 * 1459
     cold_rows(budget)
@@ -918,26 +932,28 @@ def test_residue_rows_count_against_the_row_budget(cold_rows):
     residues = _EXPAND(1458, 0, flat)[1:]
     assert valuation_row(3, 1458)[1:] == tuple(Valuation(bigmath._vp(3, v)) for v in residues)
     _check_store()
-    assert (100, 0) not in bigmath._rows and _residue_key(3, 1458) in bigmath._rows
-    assert _residue_key(3, 729) not in bigmath._rows  # 729, 1458 and the valuation row pass it
-    assert _residue_key(3, 486) not in bigmath._rows  # the low band's row m, read first
+    assert (100, 0) not in bigmath._rows and _residue_key(3, 1458) not in bigmath._rows
+    assert list(bigmath._rows) == [_residue_key(3, n) for n in (486, 162, 54, 18, 6, 2)] + [
+        _valuation_key(3, 1458)]
 
 
 _CORRUPT_HELD = _EMPTY_STORE + """
 from stirval import InvariantError, valuation_row
 
-modulus = 3 ** bigmath._initial_precision(3, 1458)
-key = (3, 729, bigmath._RESIDUES)
-empty_store()
+modulus = 3 ** bigmath._high_precision(3, 1458)
+key = (3, 486, bigmath._RESIDUES)
 try:
-    bigmath._residue_row(3, 729, modulus)  # row 729, held as row 1458 holds it
-    row, size, held_modulus = bigmath._rows[key]
-    if held_modulus != modulus:
-        raise SystemExit("row 729 is not held at row 1458's precision")
-    bad = list(row)
-    bad[300] = (bad[300] + 1) % modulus
-    bigmath._rows[key] = (tuple(bad), size, held_modulus)
-    for n in (1458, 729):  # row 1458 reads row 729 by its d = 2 split; 729 reduces it
+    # row 1458 reads row 486 by its d = 3 split and as its first chain row;
+    # row 486 reduces it to its own precision
+    for n in (1458, 486):
+        empty_store()
+        bigmath._residue_row(3, 486, modulus)  # row 486, held as row 1458 holds it
+        row, size, held_modulus = bigmath._rows[key]
+        if held_modulus != modulus:
+            raise SystemExit("row 486 is not held at row 1458's precision")
+        bad = list(row)
+        bad[300] = (bad[300] + 1) % modulus
+        bigmath._rows[key] = (tuple(bad), size, held_modulus)
         try:
             valuation_row(3, n)
         except InvariantError as exc:
@@ -945,8 +961,9 @@ try:
                 raise
         else:
             raise SystemExit(f"valuation_row(3, {n}) took a corrupted held row")
-        if (3, n, bigmath._RESIDUES) in bigmath._rows:
-            raise SystemExit(f"the refused row {n} stays held")
+        for size in (n, 486):
+            if (3, size, bigmath._RESIDUES) in bigmath._rows:
+                raise SystemExit(f"the refused row {n} leaves row {size} held")
 finally:
     empty_store()
 print("ok")
@@ -1093,54 +1110,93 @@ def test_flat_rows_with_p_squared_past_n_are_built_once(cold_rows, monkeypatch):
             assert bigmath._initial_precision(p, n) == first + (p * p > n), (p, n)
 
 
-#: Rows that take two bands (p | N, N >= _SPLIT_FROM, and a flat start over
-#: 1.5 times the high band's): N just above the crossover for p = 2, 3, 5,
-#: 7, and the first m at p = 11, 13 and 31 whose flat start passes 1.5 times
-#: the high band's (25 against 16, 29 against 18, 31 against 20; m < p at 31).
-_BAND_ROWS = [(2, 200), (2, 202), (3, 201), (3, 204), (5, 200), (5, 205),
+#: Rows read in levels (N >= _SPLIT_FROM and a flat start over 1.5 times
+#: _high_precision): N just above the crossover for p = 2, 3, 5 and 7, with
+#: p | N and not, and the first m at p = 11, 13 and 31 whose flat start
+#: passes 1.5 times the levels' start (25 against 16, 29 against 18, 31
+#: against 20; m < p at 31).
+_BAND_ROWS = [(2, 200), (2, 203), (3, 201), (3, 202), (3, 204), (5, 200), (5, 209),
               (7, 203), (7, 210), (11, 242), (13, 338), (31, 899)]
-#: Rows beside them that stay flat: the m just below at p = 11, 13 and 31
+#: Rows beside them read as one band: the m just below at p = 11, 13 and 31
 #: (a flat start of 23, 27 and 30), m = p and m just above p at p = 17 and
-#: 19, N below the crossover, p not dividing N.
+#: 19, and N below the crossover.
 _FLAT_ROWS = [(11, 231), (13, 325), (31, 868), (17, 289), (17, 306), (19, 361), (19, 380),
-              (3, 198), (2, 201), (7, 204)]
+              (3, 198), (2, 199)]
+#: Primes whose rows are read in levels against their one-band read, at
+#: N = pm, pm + 1, pm + p - 1 and pm + p // 2 (no multiple of p nearby for
+#: p >= 5), with m the first past _SPLIT_FROM / p.
+_LEVEL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 2477)
 
 _BAND_SCRIPT_HEAD = _EMPTY_STORE + f"""
 from stirval import InvariantError, Valuation, stirling1_row, valuation_row, vp_int
 
 BAND_ROWS, FLAT_ROWS = {_BAND_ROWS!r}, {_FLAT_ROWS!r}
+
+
+def read(p, n, sizes, precision):
+    # the reader's own doubling, on a chain of sizes chosen by the caller
+    empty_store()
+    while (valuations := bigmath._read_levels(p, n, sizes, precision)) is None:
+        precision *= 2
+    return tuple(map(Valuation, valuations[1:]))
+
+
+def one_band(p, n):
+    # row n alone from its flat start, as every row was read before the levels
+    return read(p, n, [n], bigmath._initial_precision(p, n))
+
+
+def chain_rows(p, n):
+    # the rows a refused row n must not leave held: ceil(n / p^l) and floor(n / p^l)
+    sizes = bigmath._chain(p, n)
+    return {{*sizes, *(n // p**level for level in range(1, len(sizes) + 1))}}
 """
 
-_BAND_ROWS_EXACT = _BAND_SCRIPT_HEAD + """
-low_band, bands = bigmath._low_band, []
+_BAND_ROWS_EXACT = _BAND_SCRIPT_HEAD + f"""
+LEVEL_PRIMES = {_LEVEL_PRIMES!r}
+reader, paths = bigmath._read_levels, {{}}
 
 
-def recording(p, m, precision):
-    bands.append((p, p * m))
-    return low_band(p, m, precision)
+def recording(p, n, sizes, precision):
+    paths.setdefault((p, n), set()).add(len(sizes) > 1)
+    return reader(p, n, sizes, precision)
 
 
-bigmath._low_band = recording
-empty_store()
+bigmath._read_levels = recording
 try:
     for p, n in BAND_ROWS + FLAT_ROWS:
+        empty_store()
         row = valuation_row(p, n)
+        if paths.pop((p, n)) != {{(p, n) in BAND_ROWS}}:
+            raise SystemExit(f"valuation_row({{p}}, {{n}}) took the wrong path")
         if row != tuple(vp_int(p, v) for v in stirling1_row(n)):
-            raise SystemExit(f"valuation_row({p}, {n}) is not exact")
-        # the flat path as it reads every row that takes no bands
-        flat = bigmath._checked_residues(p, n, bigmath._initial_precision(p, n))
-        if row[1:] != tuple(Valuation(bigmath._vp(p, r)) for r in flat[1:]):
-            raise SystemExit(f"valuation_row({p}, {n}) differs from its flat residues")
-        if ((p, n) in bands) != ((p, n) in BAND_ROWS):
-            raise SystemExit(f"valuation_row({p}, {n}) took the wrong path")
+            raise SystemExit(f"valuation_row({{p}}, {{n}}) is not exact")
+        if row[1:] != one_band(p, n):
+            raise SystemExit(f"valuation_row({{p}}, {{n}}) differs from its one-band read")
+    for p in LEVEL_PRIMES:
+        m = bigmath._SPLIT_FROM // p + 1
+        for n in sorted({{p * m, p * m + 1, p * m + p - 1, p * m + p // 2}}):
+            sizes = bigmath._chain(p, n)
+            levels = read(p, n, sizes, bigmath._high_precision(p, n))
+            if (len(sizes) > 1) != (n > p) or levels != one_band(p, n):
+                raise SystemExit(f"row {{n}} at p = {{p}}: its {{len(sizes)}} levels differ from its one band")
+            empty_store()
+            if levels != valuation_row(p, n)[1:]:
+                raise SystemExit(f"valuation_row({{p}}, {{n}}) differs from its levels")
+            if n <= 600 and levels != tuple(vp_int(p, v) for v in stirling1_row(n)[1:]):
+                raise SystemExit(f"row {{n}} at p = {{p}}: its levels are not exact")
 finally:
-    bigmath._low_band = low_band
+    bigmath._read_levels = reader
     empty_store()
 print("ok")
 """
 
 
 def test_band_rows_equal_the_exact_and_the_flat_rows(cold_rows):
+    """Rows read in levels and rows read as one band equal the exact rows and
+    the one-band read; each takes the path the rule gives it.  At every p of
+    _LEVEL_PRIMES, up to 2477 where the rule reads every row as one band,
+    rows read in levels equal their one-band read."""
     cold_rows()
     exec(compile(_BAND_ROWS_EXACT, "<band-rows-exact>", "exec"), {})
 
@@ -1150,40 +1206,38 @@ def test_band_rows_equal_the_exact_and_the_flat_rows_under_python_O():
 
 
 _FORCED_BAND_DOUBLING = _BAND_SCRIPT_HEAD + """
-initial, high, takes_bands = bigmath._initial_precision, bigmath._high_precision, bigmath._takes_bands
-low_band, split = bigmath._low_band, bigmath._split_rising
-builds = []
+high, reader, split = bigmath._high_precision, bigmath._read_levels, bigmath._split_rising
+reads, splits = [], []
 
 
-def counting_low_band(p, m, precision):
-    builds.append(("low", p, p * m))
-    return low_band(p, m, precision)
+def counting_reader(p, n, sizes, precision):
+    reads.append((p, n, len(sizes), precision))
+    return reader(p, n, sizes, precision)
 
 
 def counting_split(p, n, modulus):
-    builds.append(("high", p, n))
+    splits.append((p, n))
     return split(p, n, modulus)
 
 
-if not all(takes_bands(p, n) for p, n in BAND_ROWS):
-    raise SystemExit("a band row takes the flat path")
-# forced to 1, both start guesses would send every row flat: keep the bands
-bigmath._takes_bands = lambda p, n: True
-bigmath._initial_precision = bigmath._high_precision = lambda p, n: 1
-bigmath._low_band, bigmath._split_rising = counting_low_band, counting_split
-empty_store()
+# the levels start at _high_precision: forced to 1, every level of these
+# rows sees zero residues, and all are read again with more digits
+bigmath._high_precision = lambda p, n: 1
+bigmath._read_levels, bigmath._split_rising = counting_reader, counting_split
 try:
     for p, n in BAND_ROWS:
+        empty_store()  # so no held row n - 1 gives row n
         if valuation_row(p, n) != tuple(vp_int(p, v) for v in stirling1_row(n)):
             raise SystemExit(f"valuation_row({p}, {n}) is not exact")
-        # at P = 1 both bands see zero residues, so each builds again with more digits
-        for band in ("low", "high"):
-            if builds.count((band, p, n)) < 2:
-                raise SystemExit(f"no doubling: {builds.count((band, p, n))} {band} build(s) of row {n}")
+        mine = [(levels, precision) for q, size, levels, precision in reads if (q, size) == (p, n)]
+        if len(mine) < 2 or mine[0][1] != 1 or not all(levels > 1 for levels, _ in mine):
+            raise SystemExit(f"no doubling in levels: row {n} read as {mine}")
+        # row n itself is split afresh at each precision its levels double to
+        if splits.count((p, n)) < 2:
+            raise SystemExit(f"no doubling: {splits.count((p, n))} split build(s) of row {n}")
 finally:
-    bigmath._initial_precision, bigmath._high_precision = initial, high
-    bigmath._low_band, bigmath._split_rising = low_band, split
-    bigmath._takes_bands = takes_bands
+    bigmath._high_precision = high
+    bigmath._read_levels, bigmath._split_rising = reader, split
     empty_store()
 print("ok")
 """
@@ -1199,106 +1253,210 @@ def test_forced_doubling_in_each_band_survives_python_O():
 
 
 _CORRUPT_BAND = _BAND_SCRIPT_HEAD + """
-residue_row, product = bigmath._residue_row, bigmath._product
-packed, checked = bigmath._packed_product, bigmath._checked_residues
+import math
+
+residue_row, unit_factor, packed = bigmath._residue_row, bigmath._unit_factor, bigmath._packed_product
 fired = []
 
 
-def row_m(p, n):
-    # the low band reads row m first, before the high band reads any row
+def chain_row(p, n):
+    # one residue of chain row ceil(n / p), wherever it is read
     def corrupted(q, size, modulus):
         c = residue_row(q, size, modulus)
-        if size == n // p and not fired:
+        if size == bigmath._chain(p, n)[1]:
             fired.append(size)
             c[size // 2 + 1] += 1
         return c
     bigmath._residue_row = corrupted
 
 
-def unit_factor(p, n):
-    def corrupted(factors, modulus, terms=None):
-        c = product(factors, modulus, terms)
-        if terms is not None:  # the low band's U(py), truncated to its precision
-            fired.append(terms)
+def unit_factor_coefficient(p, n):
+    # the constant term of the first unit factor, U over u < n
+    def corrupted(q, size, precision):
+        c = unit_factor(q, size, precision)
+        if not fired:
+            fired.append(size)
             c[0] += 1
         return c
-    bigmath._product = corrupted
+    bigmath._unit_factor = corrupted
 
 
-def h(p, n):
+def band_coefficient(p, n):
+    # one coefficient of band 1, chain row ceil(n / p) times its unit factor
     def corrupted(a, b, modulus):
         c = packed(a, b, modulus)
-        if len(a) == n // p + 1 and len(b) < len(a):  # row m times U(py)
-            fired.append(len(a))
-            c[n // p // 2 + 1] += 1
+        size = bigmath._chain(p, n)[1]
+        if len(a) == size + 1 and len(b) < len(a) and not fired:
+            fired.append(size)
+            c[size // 2 + 1] += 1
         return c
     bigmath._packed_product = corrupted
 
 
-def row_n(p, n):
-    # the high band reads row n at its first precision, after the low band
+def disagreement(p, n):
+    # row n's residues at x^2 .. x^7, entries that deeper bands read, moved by
+    # x^2 (x - 1)(x - 2)(x + 1)(x - u1)(x - u2): every witness point stays put,
+    # and the zero residues there, of valuations past P, turn nonzero
+    u1, u2 = [u for u in bigmath._WITNESS_UNITS if u % p][:2]
+    fault = [1]
+    for root in (1, 2, -1, u1, u2):
+        fault = [low - root * high for low, high in zip([0] + fault, fault + [0])]
+
     def corrupted(q, size, modulus):
         c = residue_row(q, size, modulus)
-        if size == n and modulus == q ** bigmath._high_precision(q, n) and not fired:
+        if size == n and not fired:
+            if any(c[2:8]) or bigmath._chain(p, n)[1] < 8:
+                raise SystemExit(f"row {n}: x^2 .. x^7 are not all deeper bands' zeros")
             fired.append(size)
-            c[n // p + 1] += 1
+            for i, f in enumerate(fault):
+                c[2 + i] = (c[2 + i] + f) % modulus
+            if any(bigmath._at(c, x, modulus) != bigmath._at(c[:2] + [0] * 6 + c[8:], x, modulus)
+                   for x in (1, 2, -1, u1, u2)):
+                raise SystemExit("the fault moved a witness value")
         return c
     bigmath._residue_row = corrupted
 
 
-def disagreement(p, n):
-    def corrupted(q, size, precision, low=1):
-        c = checked(q, size, precision, low)
-        if low > 1:  # the high band, past its witness: one entry k <= m gains a p
-            k = next(k for k in range(1, low) if c[k])
-            fired.append(k)
-            c[k] *= q
-        return c
-    bigmath._checked_residues = corrupted
-
-
 try:
-    # each refusal names the check that made it
-    refusals = [(row_m, "valuation row {m} mod {p}^"), (unit_factor, "U(py) of valuation row {n} mod"),
-                (h, "h of valuation row {n} mod"), (row_n, "valuation row {n} mod {p}^"),
-                (disagreement, "row {n} mod {p}: its two bands disagree")]
+    # each refusal names row n and the check that made it
+    refusals = [(chain_row, "of valuation row {n} mod {p}^"),
+                (unit_factor_coefficient, "unit factor at level 1 of valuation row {n} mod"),
+                (band_coefficient, "level 1 of valuation row {n} mod"),
+                (disagreement, "valuation row {n} mod {p}^")]
     for corrupt, refusal in refusals:
-        for p, n in BAND_ROWS[::2]:
-            message = refusal.format(p=p, n=n, m=n // p)
+        for p, n in BAND_ROWS[::2] + [(3, 1458), (3, 487)]:
+            message = refusal.format(p=p, n=n)
             del fired[:]
             corrupt(p, n)
             empty_store()
             try:
                 valuation_row(p, n)
             except InvariantError as exc:
-                if message not in str(exc):
+                seen = "disagrees with a deeper band" if corrupt is disagreement else "witness"
+                if message not in str(exc) or seen not in str(exc):
                     raise
             else:
                 raise SystemExit(f"valuation_row({p}, {n}) took {corrupt.__name__}")
             finally:
-                bigmath._residue_row, bigmath._product = residue_row, product
-                bigmath._packed_product, bigmath._checked_residues = packed, checked
-            if len(fired) != 1:
+                bigmath._residue_row, bigmath._unit_factor = residue_row, unit_factor
+                bigmath._packed_product = packed
+            if not fired or (corrupt is not chain_row and len(fired) != 1):
                 raise SystemExit(f"{corrupt.__name__} fired {len(fired)} times at row {n}")
-            # one rule for every refusal: neither row m nor row n stays held
-            if any((p, size, bigmath._RESIDUES) in bigmath._rows for size in (n // p, n)):
+            # one rule for every refusal: no row that row n read stays held
+            if any((p, size, bigmath._RESIDUES) in bigmath._rows for size in chain_rows(p, n)):
                 raise SystemExit(f"a refused row of {corrupt.__name__} stays held at row {n}")
 finally:
-    bigmath._residue_row, bigmath._product = residue_row, product
-    bigmath._packed_product, bigmath._checked_residues = packed, checked
+    bigmath._residue_row, bigmath._unit_factor = residue_row, unit_factor
+    bigmath._packed_product = packed
     empty_store()
 print("ok")
 """
 
 
 def test_band_checks_refuse_a_corrupted_row_m_unit_factor_or_h_and_a_disagreement(cold_rows):
-    """One entry of row m, of U(py), of h or of the high band's row n off by
-    one is refused by that part's own witness points, and an entry k <= m of
-    the high band with one more p than the low band gives is refused by the
-    comparison of the bands; each refusal drops both row m and row n."""
+    """One residue of chain row m = ceil(n/p), one coefficient of a unit factor
+    or of band 1 (row m times its unit factor) off by one is refused by the
+    witness points, and a fault that every witness point misses but that
+    turns a deeper band's zero residues in row n nonzero is refused by the
+    comparison of the bands; each refusal drops every row that row n read."""
     cold_rows()
     exec(compile(_CORRUPT_BAND, "<corrupt-band>", "exec"), {})
 
 
 def test_band_checks_survive_python_O():
     _run_fresh(_CORRUPT_BAND, "-O")
+
+
+_TOP_SPLIT = _EMPTY_STORE + """
+top_copies, copies = bigmath._top_copies, []
+
+
+def counting(top, skip, p, modulus, terms=None):
+    copies.append((p, terms))
+    return top_copies(top, skip, p, modulus, terms)
+
+
+def brute_unit_factor(p, size, precision):
+    modulus, c = p**precision, [1]
+    for u in range(1, size):
+        if u % p:
+            c = [(low * u + high) % modulus for low, high in zip(c + [0], [0] + c)][:precision]
+    return [v * p**d % modulus for d, v in enumerate(c + [0] * (precision - len(c)))]
+
+
+bigmath._top_copies = counting
+try:
+    for p in (2, 3, 5, 7):
+        for precision in (1, 3, 8):
+            modulus = p**precision
+            for m in (2 * precision, 2 * precision + 1):  # split by Q's top P from 2P + 1 on
+                for n in (p * m, p * m + 1, p * m + p - 1):
+                    del copies[:]
+                    empty_store()
+                    if bigmath._split_rising(p, n, modulus) != bigmath._expand_rising(n, 0, modulus):
+                        raise SystemExit(f"split row {n} mod {p}^{precision} differs from the loop's")
+                    if (copies[:1] == [(p, None)]) != (m > 2 * precision):
+                        raise SystemExit(f"split row {n} mod {p}^{precision} took {copies[:1]}")
+                    del copies[:]
+                    empty_store()
+                    if bigmath._unit_factor(p, n, precision) != brute_unit_factor(p, n, precision):
+                        raise SystemExit(f"unit factor of row {n} mod {p}^{precision} differs")
+                    if bool(copies) != (m > 2 * precision):
+                        raise SystemExit(f"unit factor of row {n} mod {p}^{precision} took {copies}")
+finally:
+    bigmath._top_copies = top_copies
+    empty_store()
+print("ok")
+"""
+
+
+def test_top_split_and_unit_factor_equal_the_loop_on_both_sides_of_m_2p(cold_rows):
+    """Row n = pm + r mod p^P split by Q's top P once m > 2P, and the unit
+    factor from its top-P copies once m > 2P, each equal to the loop on
+    both sides of m = 2P."""
+    cold_rows()
+    exec(compile(_TOP_SPLIT, "<top-split>", "exec"), {})
+
+
+def test_top_split_and_unit_factor_survive_python_O():
+    _run_fresh(_TOP_SPLIT, "-O")
+
+
+def test_thm2_after_thm1_and_cor1_splits_no_row(cold_rows, monkeypatch):
+    """After the thm1 and cor1 sweeps to n = 6, a thm2 sweep to n = 6 reads
+    rows a*3^n + 1 in levels from held chain rows by one linear factor each,
+    splitting none."""
+    cold_rows()
+    stirval.sweep("thm1", {"n_max": 6})
+    stirval.sweep("cor1", {"n_max": 6})
+    split, splits = bigmath._split_rising, []
+
+    def counting_split(p, n, modulus):
+        splits.append(n)
+        return split(p, n, modulus)
+
+    monkeypatch.setattr(bigmath, "_split_rising", counting_split)
+    report = stirval.sweep("thm2", {"n_max": 6})
+    assert (report.total, report.failed) == (3276, 0)
+    assert splits == []
+
+
+def test_narrow_slots_are_read_whole_and_wide_slots_in_pieces(monkeypatch):
+    """A slot under int()'s digit limit is read by int() itself; only a slot
+    past it goes through the piecewise reader."""
+    read_int, pieces = bigmath._read_int, []
+
+    def counting(digits, piece):
+        pieces.append(len(digits))
+        return read_int(digits, piece)
+
+    monkeypatch.setattr(bigmath, "_read_int", counting)
+    modulus = 3**22
+    a, b = [modulus - 1, 5, 7], [modulus - 2, 3]
+    schoolbook = [sum(a[i] * b[k - i] for i in range(3) if 0 <= k - i < 2) % modulus for k in range(4)]
+    assert bigmath._packed_product(a, b, modulus) == schoolbook and pieces == []
+    wide = 10**2150  # slots of 4301 digits: (10^2150 - 1)^2 times 2 terms
+    a, b = [wide - 1, 1], [wide - 1, wide - 2]
+    schoolbook = [sum(a[i] * b[k - i] for i in range(2) if 0 <= k - i < 2) % wide for k in range(3)]
+    assert bigmath._packed_product(a, b, wide) == schoolbook
+    assert pieces == [4301] * 3
