@@ -60,16 +60,21 @@ def _expand_rising(n: int, shift: int, modulus: int = 0) -> list[int]:
     Exact by default; with a modulus > 0 every coefficient is returned
     reduced modulo it.
     """
-    c = [1] + [0] * n
-    for i in range(n):
-        f = shift + i
+    return _linear_product(range(shift, shift + n), n + 1, modulus)
+
+
+def _linear_product(factors: Iterable[int], size: int, modulus: int = 0) -> list[int]:
+    """The first size coefficients of the product of x + f over factors f, exact,
+    or each reduced mod modulus > 0."""
+    c = [1] + [0] * (size - 1)
+    for i, f in enumerate(factors):
         # multiply by (x + f) in place, high k first so c[k-1] is still old
-        for k in range(i + 1, 0, -1):
+        for k in range(min(i + 1, size - 1), 0, -1):
             c[k] = c[k] * f + c[k - 1]
         c[0] *= f
-        if modulus and (i % _REDUCE_EVERY == _REDUCE_EVERY - 1 or i == n - 1):
+        if modulus and i % _REDUCE_EVERY == _REDUCE_EVERY - 1:
             c = [v % modulus for v in c]
-    return c
+    return [v % modulus for v in c] if modulus else c
 
 
 def _check_row_cap(n: int) -> None:
@@ -252,13 +257,13 @@ def _held_residues(p: int, n: int, modulus: int) -> list[int] | None:
     return list(row) if held_modulus == modulus else [v % modulus for v in row]
 
 
-def _drop_residues(p: int, n: int) -> None:
-    """Drop the held residue row (p, n)."""
+def _drop_residues(p: int) -> None:
+    """Drop every held residue row at p: a refused row may have read any of
+    them, through its chain, its splits and its unit factors."""
     global _rows_held
     with _rows_lock:
-        held = _rows.pop((p, n, _RESIDUES), None)
-        if held is not None:
-            _rows_held -= held[1]
+        for key in [key for key in _rows if key[0] == p and key[-1] == _RESIDUES]:
+            _rows_held -= _rows.pop(key)[1]
 
 
 def _times_linear(c: list[int], f: int, modulus: int) -> list[int]:
@@ -272,64 +277,56 @@ def _split_rising(p: int, n: int, modulus: int) -> list[int]:
     Grouping the factors x + j of x(x+1)...(x+dm-1) by j mod d (Lemmas 2.4
     and 2.5, which hold for any d >= 2) gives Q(x) Q(x+1) ... Q(x+d-1), where
     Q(z) = prod_{i<m} (z + id) = sum_k s(m, k) d^(m-k) z^k; the r factors
-    x + dm, ..., x + n - 1 follow.  Mod p^P with d = p, only the top P
-    coefficients of Q are nonzero, so once n // p > 2P, d = p and the copies
-    come from :func:`_top_copies`, in O(m) steps each rather than an O(m^2)
-    Taylor shift.  Otherwise d is the smallest divisor of n in [2, p]
-    (r = 0), or p if n has none.  Row m comes from :func:`_residue_row`, so
-    it is held too: a largest-first grid at p = 3 splits row 2*3^6 by 3 into
-    row 2*3^5, that into row 2*3^4, and so on, each a row the grid reads.
-    Splitting by d = p also where Q has at most P terms won at (2477, 4954)
-    and (997, 4985) but lost up to 1.7 times at p <= 101 (BENCH_22.json).
+    x + dm, ..., x + n - 1 follow; :func:`_copies` makes each Q(x+j).  Mod
+    p^P with d = p only the top P coefficients of Q are nonzero, so once
+    n // p > 2P, d = p and each copy takes O(m) steps from the top P entries
+    of row m, not an O(m^2) Taylor shift.  Otherwise d is the smallest
+    divisor of n in [2, p] (r = 0), or p if n has none, and each copy is a
+    Taylor shift of Q.  Row m comes from :func:`_residue_row`, so it is held
+    too: a largest-first grid at p = 3 splits row 2*3^6 by 3 into row 2*3^5,
+    that into row 2*3^4, and so on, each a row the grid reads.  Splitting by
+    d = p also where Q has at most P terms won at (2477, 4954) and
+    (997, 4985) but lost up to 1.7 times at p <= 101 (BENCH_22.json).
     """
     precision = _vp(p, modulus)
     top = n // p > 2 * precision
     d = p if top else next((d for d in range(2, p) if n % d == 0), p)
     m, r = divmod(n, d)
-    row = _residue_row(p, m, modulus)
     skip = m - precision + 1 if top else 0
-    factors = _top_copies(row[skip:], skip, p, modulus) if top else _shifted_copies(row, d, modulus)
+    factors = _copies(_residue_row(p, m, modulus)[skip:], skip, d, modulus)
     if r:
         factors.append(_expand_rising(r, d * m, modulus))
     return [0] * skip + _product(factors, modulus)
 
 
-def _top_copies(top: list[int], skip: int, p: int, modulus: int, terms: int | None = None) -> list[list[int]]:
-    """R(x), (x+1)^skip R(x+1), ..., (x+p-1)^skip R(x+p-1) from the top
-    entries s(m, skip..m) of row m, where Q(x) = x^skip R(x) mod p^P; with
-    terms, only the first terms coefficients of each.
+def _copies(top: list[int], skip: int, d: int, modulus: int, terms: int | None = None) -> list[list[int]]:
+    """R(x), (x+1)^skip R(x+1), ..., (x+d-1)^skip R(x+d-1) mod modulus from the
+    entries s(m, skip..m) of row m, where Q(x) = prod_{i<m} (x + id) =
+    x^skip R(x); with terms, only the first terms coefficients of each.
 
-    Coefficient k of Q(z) = prod_{i<m} (z + ip) is s(m, k) p^(m-k), so mod
-    p^P only its top P, k > m - P, are nonzero: Q(x+j) needs a shift of R's
-    P terms and the binomial row (x+j)^skip, not an O(m^2) shift of row m.
+    Coefficient k of Q is s(m, k) d^(m-k), so mod p^P with d = p only its
+    top P, k > m - P, are nonzero: Q(x+j) needs a shift of R's P terms and
+    the binomial row (x+j)^skip, not an O(m^2) shift of row m.  At skip = 0,
+    R = Q and each copy is a Taylor shift of the one before.
     """
-    size = len(top)
-    top = [v * p ** (size - 1 - i) % modulus for i, v in enumerate(top)]
+    # d^(m-k) for entry k, by a running power: top[-1] is s(m, m)
+    powers = accumulate(repeat(d, len(top) - 1), lambda a, b: a * b % modulus, initial=1)
+    top = [v * w % modulus for v, w in zip(top, reversed(list(powers)))]
     binomials = [1]
     for i in range(min(skip, terms or skip)):
         binomials.append(binomials[-1] * (skip - i) // (i + 1))
     binomials = [c % modulus for c in binomials]
     copies = [top]
-    for j in range(1, p):
+    for j in range(1, d):
         top = _shift_by_one(top, modulus)
+        if not skip:
+            copies.append(top)
+            continue
         # j^(skip - i) for the binomial C(skip, i), i < len(binomials)
         low = pow(j, skip - len(binomials) + 1, modulus)
         powers = reversed(list(accumulate(repeat(j, len(binomials) - 1), lambda a, b: a * b % modulus, initial=low)))
         row = [c * w % modulus for c, w in zip(binomials, powers)]
         copies.append(_truncated_product(row, top, modulus, terms) if terms else _packed_product(row, top, modulus))
-    return copies
-
-
-def _shifted_copies(row: list[int], d: int, modulus: int) -> list[list[int]]:
-    """Q(x), Q(x+1), ..., Q(x+d-1) from row m, scaled in place to
-    Q(z) = sum_k s(m, k) d^(m-k) z^k, each coefficient mod modulus."""
-    power = 1
-    for k in range(len(row) - 1, -1, -1):  # power = d^(m-k) mod the modulus
-        row[k] = row[k] * power % modulus
-        power = power * d % modulus
-    copies = [row]
-    for _ in range(1, d):
-        copies.append(_shift_by_one(copies[-1], modulus))
     return copies
 
 
@@ -434,29 +431,20 @@ def _unit_factor(p: int, size: int, precision: int) -> list[int]:
     of U(py) carries p^d, so the rest vanish.
 
     With size = pm + r, U(x) = Q(x+1)...Q(x+p-1) (x+pm+1)...(x+pm+r-1),
-    Q(z) = prod_{i<m} (z + ip), whose copies come from :func:`_top_copies`
-    once m > 2P, as in :func:`_split_rising`: a copy costs a few P^2 steps,
-    against m P for its m factors one by one, which the loop below takes for
-    m <= 2P: the two were even near m = 2P at p = 3 and at p = 53, and at
+    Q(z) = prod_{i<m} (z + ip), whose copies come from the top P entries of
+    row m (:func:`_copies`) once m > 2P, as in :func:`_split_rising`: a copy
+    costs a few P^2 steps, against m P for its m factors one by one, which
+    :func:`_linear_product` takes for m <= 2P, as it takes the r - 1 tail
+    units: the two were even near m = 2P at p = 3 and at p = 53, and at
     p = 2477, m = 2 the copies took 23 ms against 3 ms (2-vCPU VM, best of 7).
     """
     modulus = p**precision
-    m, r = divmod(size, p)
-    if m <= 2 * precision:
-        c = [1] + [0] * (precision - 1)
-        for i, u in enumerate(u for u in range(1, size) if u % p):
-            # multiply by (x + u) in place, high k first so c[k-1] is still old
-            for k in range(precision - 1, 0, -1):
-                c[k] = c[k] * u + c[k - 1]
-            c[0] *= u
-            if i % _REDUCE_EVERY == _REDUCE_EVERY - 1:
-                c = [v % modulus for v in c]
-    else:
-        skip = m - precision + 1
-        factors = _top_copies(_residue_row(p, m, modulus)[skip:], skip, p, modulus, precision)[1:]
-        if r > 1:
-            factors.append(_expand_rising(r - 1, p * m + 1, modulus)[:precision])
-        c = reduce(partial(_truncated_product, modulus=modulus, terms=precision), factors)
+    m = size // p
+    top, skip = m > 2 * precision, m - precision + 1
+    factors = _copies(_residue_row(p, m, modulus)[skip:], skip, p, modulus, precision)[1:] if top else []
+    units = range(p * m + 1 if top else 1, size)
+    factors.append(_linear_product((u for u in units if u % p), precision, modulus))
+    c = reduce(partial(_truncated_product, modulus=modulus, terms=precision), factors)
     return [v * p**d % modulus for d, v in enumerate(c)]
 
 
@@ -535,7 +523,9 @@ def _valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
     2.3 times as long as one band; from 1.65 times they took 0.11 to 0.95
     times from N = 343 up, and between 1.5 and 1.65 times (31, 899),
     (11, 242) and (13, 338) took 1.1 to 1.8 times, a few ms.  Any refusal
-    drops every row that :func:`_read_levels` read, so none is read again.
+    drops every held residue row at p (:func:`_drop_residues`), so no row
+    that the refused read built or read, down its chain, splits and unit
+    factors, is read again.
     """
     if n == 0:
         return (Valuation(0),)
@@ -545,10 +535,7 @@ def _valuation_row(p: int, n: int) -> tuple[Valuation, ...]:
         while (valuations := _read_levels(p, n, sizes, precision)) is None:
             precision *= 2
     except InvariantError:
-        # the chain rows ceil(n / p^l), and the rows floor(n / p^l) that the
-        # splits and unit factors read
-        for size in {*sizes, *(n // p**level for level in range(1, len(sizes) + 1))}:
-            _drop_residues(p, size)
+        _drop_residues(p)
         raise
     return (INFINITE, *map(Valuation, valuations[1:]))
 

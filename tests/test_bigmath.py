@@ -1146,10 +1146,9 @@ def one_band(p, n):
     return read(p, n, [n], bigmath._initial_precision(p, n))
 
 
-def chain_rows(p, n):
-    # the rows a refused row n must not leave held: ceil(n / p^l) and floor(n / p^l)
-    sizes = bigmath._chain(p, n)
-    return {{*sizes, *(n // p**level for level in range(1, len(sizes) + 1))}}
+def held_residue_rows(p):
+    # a refused row at p must leave none of these: any of them may be the fault
+    return [key for key in bigmath._rows if key[0] == p and key[-1] == bigmath._RESIDUES]
 """
 
 _BAND_ROWS_EXACT = _BAND_SCRIPT_HEAD + f"""
@@ -1342,9 +1341,9 @@ try:
                 bigmath._packed_product = packed
             if not fired or (corrupt is not chain_row and len(fired) != 1):
                 raise SystemExit(f"{corrupt.__name__} fired {len(fired)} times at row {n}")
-            # one rule for every refusal: no row that row n read stays held
-            if any((p, size, bigmath._RESIDUES) in bigmath._rows for size in chain_rows(p, n)):
-                raise SystemExit(f"a refused row of {corrupt.__name__} stays held at row {n}")
+            # one rule for every refusal: no residue row at p stays held
+            if held_residue_rows(p):
+                raise SystemExit(f"a residue row stays held after {corrupt.__name__} at row {n}")
 finally:
     bigmath._residue_row, bigmath._unit_factor = residue_row, unit_factor
     bigmath._packed_product = packed
@@ -1358,7 +1357,7 @@ def test_band_checks_refuse_a_corrupted_row_m_unit_factor_or_h_and_a_disagreemen
     or of band 1 (row m times its unit factor) off by one is refused by the
     witness points, and a fault that every witness point misses but that
     turns a deeper band's zero residues in row n nonzero is refused by the
-    comparison of the bands; each refusal drops every row that row n read."""
+    comparison of the bands; each refusal drops every residue row at p."""
     cold_rows()
     exec(compile(_CORRUPT_BAND, "<corrupt-band>", "exec"), {})
 
@@ -1367,13 +1366,75 @@ def test_band_checks_survive_python_O():
     _run_fresh(_CORRUPT_BAND, "-O")
 
 
+_REFUSAL_DROPS_SPLIT_ROWS = _BAND_SCRIPT_HEAD + """
+expand, fired = bigmath._expand_rising, []
+
+
+def corrupted(n, shift, modulus=0):
+    # one residue of row 105 as the loop builds it mod 7^16
+    c = expand(n, shift, modulus)
+    if (n, modulus) == (105, 7**16):
+        fired.append(n)
+        c[n // 2] += 1
+    return c
+
+
+# row 210 is read in levels [210, 30, 5] at P = 16, and its d = 2 split reads
+# row 105: neither ceil(210 / 7^l) nor floor(210 / 7^l)
+if (bigmath._chain(7, 210), bigmath._high_precision(7, 210)) != ([210, 30, 5], 16):
+    raise SystemExit("row 210 at p = 7 is no longer read in levels 210, 30, 5 at P = 16")
+empty_store()
+try:
+    bigmath._expand_rising = corrupted
+    try:
+        valuation_row(7, 210)
+    except InvariantError as exc:
+        if "valuation row 210 mod 7^16" not in str(exc):
+            raise
+    else:
+        raise SystemExit("valuation_row(7, 210) took a corrupted row 105")
+    finally:
+        bigmath._expand_rising = expand
+    if fired != [105] or held_residue_rows(7):
+        raise SystemExit(f"row 105 built {len(fired)} time(s); held after the refusal: {held_residue_rows(7)}")
+    # the kernel restored, the row is read afresh
+    if valuation_row(7, 210) != tuple(vp_int(7, v) for v in stirling1_row(210)):
+        raise SystemExit("valuation_row(7, 210) is not exact after the refusal")
+finally:
+    bigmath._expand_rising = expand
+    empty_store()
+print("ok")
+"""
+
+
+def test_a_refusal_drops_the_rows_its_splits_read(cold_rows):
+    """A residue of row 105 corrupted as the loop builds it mod 7^16 is refused
+    through row 210's d = 2 split; the refusal leaves no residue row at p = 7
+    held, so a second read, the kernel restored, is exact."""
+    cold_rows()
+    exec(compile(_REFUSAL_DROPS_SPLIT_ROWS, "<refusal-drops-split-rows>", "exec"), {})
+
+
+def test_a_refusal_drops_the_rows_its_splits_read_under_python_O():
+    _run_fresh(_REFUSAL_DROPS_SPLIT_ROWS, "-O")
+
+
 _TOP_SPLIT = _EMPTY_STORE + """
-top_copies, copies = bigmath._top_copies, []
+copy_maker, copies = bigmath._copies, []
 
 
-def counting(top, skip, p, modulus, terms=None):
-    copies.append((p, terms))
-    return top_copies(top, skip, p, modulus, terms)
+def counting(top, skip, d, modulus, terms=None):
+    if skip:  # the top path: copies from the top entries of row m
+        copies.append((d, terms))
+    return copy_maker(top, skip, d, modulus, terms)
+
+
+def brute_copy(m, j, d, modulus):
+    # prod_{i<m} (x + j + i d) mod modulus, one linear factor at a time
+    c = [1]
+    for i in range(m):
+        c = [(low * (j + i * d) + high) % modulus for low, high in zip(c + [0], [0] + c)]
+    return c
 
 
 def brute_unit_factor(p, size, precision):
@@ -1384,11 +1445,16 @@ def brute_unit_factor(p, size, precision):
     return [v * p**d % modulus for d, v in enumerate(c + [0] * (precision - len(c)))]
 
 
-bigmath._top_copies = counting
+bigmath._copies = counting
 try:
     for p in (2, 3, 5, 7):
         for precision in (1, 3, 8):
             modulus = p**precision
+            for d in (2, 3, 5, 7):
+                for m in (precision - 1, precision + 1):  # skip = 0: the whole of Q, shifted
+                    made = copy_maker(bigmath._expand_rising(m, 0, modulus), 0, d, modulus)
+                    if made != [brute_copy(m, j, d, modulus) for j in range(d)]:
+                        raise SystemExit(f"copies of Q at m = {m}, d = {d} mod {p}^{precision} differ")
             for m in (2 * precision, 2 * precision + 1):  # split by Q's top P from 2P + 1 on
                 for n in (p * m, p * m + 1, p * m + p - 1):
                     del copies[:]
@@ -1404,7 +1470,7 @@ try:
                     if bool(copies) != (m > 2 * precision):
                         raise SystemExit(f"unit factor of row {n} mod {p}^{precision} took {copies}")
 finally:
-    bigmath._top_copies = top_copies
+    bigmath._copies = copy_maker
     empty_store()
 print("ok")
 """
@@ -1413,7 +1479,8 @@ print("ok")
 def test_top_split_and_unit_factor_equal_the_loop_on_both_sides_of_m_2p(cold_rows):
     """Row n = pm + r mod p^P split by Q's top P once m > 2P, and the unit
     factor from its top-P copies once m > 2P, each equal to the loop on
-    both sides of m = 2P."""
+    both sides of m = 2P; and at skip = 0, copy j of Q for a spacing d equal
+    to prod_{i<m} (x + j + i d) on both sides of m = P."""
     cold_rows()
     exec(compile(_TOP_SPLIT, "<top-split>", "exec"), {})
 

@@ -373,19 +373,80 @@ def test_a_raised_exact_row_entry_fails_every_exact_row_suite(cold_rows):
     _check_raised_exact_row(_raised_exact_row())
 
 
-_RAISED_EXACT_ROW_SCRIPT = """\
+#: Runs test_verify.<argv[2]>() in a fresh process and prints its data as JSON.
+_RAISED_ROW_SCRIPT = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import test_verify
-print(json.dumps(test_verify._raised_exact_row()))
+print(json.dumps(getattr(test_verify, sys.argv[2])()))
 """
 
 
-def test_a_raised_exact_row_entry_fails_every_exact_row_suite_under_python_O():
+def _raised_row_under_python_O(name: str) -> dict:
     tests = str(Path(__file__).resolve().parent)
-    proc = _fresh_python("-O", "-c", _RAISED_EXACT_ROW_SCRIPT, tests)
+    proc = _fresh_python("-O", "-c", _RAISED_ROW_SCRIPT, tests, name)
     assert (proc.returncode, proc.stderr) == (0, "")
-    _check_raised_exact_row(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def test_a_raised_exact_row_entry_fails_every_exact_row_suite_under_python_O():
+    _check_raised_exact_row(_raised_row_under_python_O("_raised_exact_row"))
+
+
+#: The suites that read held shifted rows s_m(n, .), and their records that
+#: read a raised entry k of row (n, m), m >= 2, and cannot see it: lemma24's
+#: record k reads it only times s(m, 0) = 0.  Its records k + 1 .. k + m
+#: read it times s(m, i) > 0; lemma25 compares it with the plain row's
+#: expansion, and congruence reduces it mod m >= 2, so both see it.
+_SHIFTED_ROW_UNSEEABLE = {
+    "lemma24": lambda params, raised: params == raised,
+    "lemma25": lambda params, raised: False,
+    "congruence": lambda params, raised: False,
+}
+
+
+def _raised_shifted_row() -> dict:
+    """Run each shifted-row suite on its default grid with one seeded entry of
+    a held shifted row raised by 1.  Returns data, not asserts, so that a
+    ``python -O`` run is checked too."""
+    rng = random.Random(7)
+    m, n = rng.randint(2, 12), rng.randint(3, 12)  # inside every grid: lemma25's stops at 12
+    k = rng.randint(0, n)
+    row = bigmath.stirling1_shifted_row(m, n)
+    key = (n, m)
+    size = bigmath._rows[key][1]
+    bigmath._rows[key] = (row[:k] + (row[k] + 1,) + row[k + 1:], size)
+    try:
+        reports = {suite: sweep(suite) for suite in _SHIFTED_ROW_UNSEEABLE}
+    finally:
+        bigmath._rows[key] = (row, size)
+    raised = {"m": m, "n": n, "k": k}
+    return {"raised": raised, **{
+        suite: {
+            "failed": report.failed,
+            "unseeable_failed": sum(not r.passed for r in report.records
+                                    if _SHIFTED_ROW_UNSEEABLE[suite](r.params, raised)),
+            # a record that does not read row (n, m) cannot fail
+            "stray_failed": sum(not r.passed for r in report.records
+                                if (r.params["m"], r.params["n"]) != (m, n)),
+        }
+        for suite, report in reports.items()
+    }}
+
+
+def _check_raised_shifted_row(result: dict) -> None:
+    for suite in _SHIFTED_ROW_UNSEEABLE:
+        assert result[suite]["failed"] >= 1, (suite, result["raised"])
+        assert result[suite]["unseeable_failed"] == result[suite]["stray_failed"] == 0, (suite, result["raised"])
+
+
+def test_a_raised_shifted_row_entry_fails_every_shifted_row_suite(cold_rows):
+    cold_rows()
+    _check_raised_shifted_row(_raised_shifted_row())
+
+
+def test_a_raised_shifted_row_entry_fails_every_shifted_row_suite_under_python_O():
+    _check_raised_shifted_row(_raised_row_under_python_O("_raised_shifted_row"))
 
 
 def test_check_lemma22_refuses_an_absurd_n_before_its_power_is_formed():
