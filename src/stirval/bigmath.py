@@ -221,15 +221,17 @@ def _residue_row(p: int, n: int, modulus: int) -> list[int]:
     modulo ``modulus``, a power of p, as a fresh list.
 
     A row held at a modulus that ``modulus`` divides is reduced from it.
-    Otherwise, from _SPLIT_FROM up, a held row n - 1 gives row n as its
-    product with x + n - 1; failing that the row is built, by the loop below
-    _SPLIT_FROM and by :func:`_split_rising` from there up, however wide its
-    packed slots.  A built or derived row is held, replacing a less precise one.
+    Otherwise a held row n - 1, at any n, gives row n as its product with
+    x + n - 1 (a cold p = 3 sweep reads row 163 at two precisions while row
+    162 is held, and so rows 82 and 55); failing that the row is built, by
+    the loop below _SPLIT_FROM and by :func:`_split_rising` from there up,
+    however wide its packed slots.  A built or derived row is held,
+    replacing a less precise one.
     """
     row = _held_residues(p, n, modulus)
     if row is not None:
         return row
-    below = _held_residues(p, n - 1, modulus) if n >= _SPLIT_FROM else None
+    below = _held_residues(p, n - 1, modulus)
     if below is not None:
         row = _times_linear(below, n - 1, modulus)
     elif n < _SPLIT_FROM:

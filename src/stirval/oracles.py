@@ -85,19 +85,24 @@ class QueryP:
 
     @classmethod
     def _trusted(cls, p: Prime, a: int, n: int, m: int, k: int) -> "QueryP":
-        """A query whose domain the caller has already established: no check is re-run."""
+        """A query whose domain the caller has already established: no check is
+        re-run, and the slots are set through their member descriptors, past
+        the frozen ``__setattr__``."""
         self = object.__new__(cls)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
+        _set_p(self, p)
+        _set_a(self, a)
+        _set_n(self, n)
+        _set_m(self, m)
+        _set_k(self, k)
         return self
 
     @property
     def t(self) -> int:
         """The addressed index t = a*p^m - k."""
         return self.a * self.p.p**self.m - self.k
+
+
+_set_p, _set_a, _set_n, _set_m, _set_k = (getattr(QueryP, f).__set__ for f in ("p", "a", "n", "m", "k"))
 
 
 class BoundKind(Enum):
@@ -207,12 +212,17 @@ def thm1_valuation(q: QueryP) -> Valuation:
     return Valuation(_thm1(n, m, q.k, a * 3**n, a * 3**m))
 
 
+def _cor1(n: int, k: int) -> int:
+    """Corollary 1: v_3(s(a*3^n, a*3^n - k)) by parity of k; see cor1_valuation."""
+    if k % 2 == 0:
+        return n - 1 - _vp(3, k)
+    return 2 * n - 1 + _vp(3, k) - _vp(3, k - 1)
+
+
 def cor1_valuation(a: int, n: int, k: int) -> Valuation:
     """The m = n specialization: v_3(s(a*3^n, a*3^n - k)) by parity of k."""
     _check_query(3, a, n, n, k)
-    if k % 2 == 0:
-        return Valuation(n - 1 - _vp(3, k))
-    return Valuation(2 * n - 1 + _vp(3, k) - _vp(3, k - 1))
+    return Valuation(_cor1(n, k))
 
 
 def decompose_p(p: int | Prime, a: int, n: int, t: int) -> QueryP:
@@ -289,6 +299,11 @@ def thm2_shift_valuation(a: int, n: int, k: int) -> OracleResult:
     top = a * 3**n
     if not 1 <= k <= top:
         raise DomainError(f"k must satisfy 1 <= k <= a*3^n = {_str(top)}, got {k}")
+    return _thm2_shift(a, n, top, k)
+
+
+def _thm2_shift(a: int, n: int, top: int, k: int) -> OracleResult:
+    """Theorem 2 for top = a*3^n and 1 <= k <= top; see thm2_shift_valuation."""
     if (k - a) % 2 == 0:
         return OracleResult(BoundKind.EXACT, Valuation(_full(3, a, n, top, k)))
     # k = top is even against a, so k + 1 <= top here

@@ -74,6 +74,8 @@ class Valuation:
         return None
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, int):  # compared as is: no Valuation is made for it
+            return self._v == other
         o = self._coerce(other)
         if o is None:
             return NotImplemented

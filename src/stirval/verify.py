@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import inspect
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 
 from .bigmath import (
     _check_harmonic_cap,
@@ -29,18 +30,15 @@ from .bigmath import (
 )
 from .errors import DomainError, UsageError
 from .oracles import (
-    _P3,
     BoundKind,
     OracleResult,
-    QueryP,
     _check_an,
+    _conjecture13,
+    _cor1,
+    _full,
     _proven_form,
-    conjecture13_valuation,
-    cor1_valuation,
-    decompose_p,
+    _thm2_shift,
     max_valuation_bound,
-    thm1_valuation,
-    thm2_shift_valuation,
 )
 from .padic import Prime, _str, as_prime, vp_int
 
@@ -60,15 +58,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRecord:
-    """One grid point: the claim, the measured value, and the verdict."""
+    """One grid point: the claim, the measured value, and the verdict.
+
+    Slotted, so a record carries no ``__dict__``.  Sweeps make records
+    through ``_trusted``, which sets the slots directly; ``__init__`` sets
+    each through the frozen class's ``object.__setattr__``, at about twice
+    the cost per record.
+    """
 
     check_id: str
     params: dict[str, int]
     expected: str
     actual: str
     passed: bool
+
+    @classmethod
+    def _trusted(cls, check_id: str, params: dict[str, int], expected: str, actual: str,
+                 passed: bool) -> "CheckRecord":
+        """The record ``cls(...)`` makes, with its slots set through their member descriptors."""
+        self = object.__new__(cls)
+        _set_check_id(self, check_id)
+        _set_params(self, params)
+        _set_expected(self, expected)
+        _set_actual(self, actual)
+        _set_passed(self, passed)
+        return self
 
     def as_json_obj(self) -> dict:
         return {
@@ -80,8 +96,32 @@ class CheckRecord:
         }
 
 
-def _sort_key(rec: CheckRecord):
-    return tuple(rec.params[k] for k in sorted(rec.params)) + (rec.check_id,)
+_set_check_id, _set_params, _set_expected, _set_actual, _set_passed = (
+    getattr(CheckRecord, f).__set__ for f in ("check_id", "params", "expected", "actual", "passed")
+)
+
+
+def _values_at(names: tuple[str, ...]) -> Callable[[dict], tuple]:
+    """params -> its values at names, as a tuple: itemgetter gives a bare value
+    for one name and takes no empty list."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    return lambda params: tuple(params[k] for k in names)
+
+
+def _in_report_order(records: list[CheckRecord]) -> list[CheckRecord]:
+    """The records sorted by (*param values in sorted-name order, check_id),
+    through one getter per distinct tuple of param names, not a sorted() per record."""
+    getters: dict[tuple[str, ...], Callable[[dict], tuple]] = {}
+
+    def key(rec: CheckRecord) -> tuple:
+        names = tuple(rec.params)
+        values_at = getters.get(names)
+        if values_at is None:
+            values_at = getters[names] = _values_at(tuple(sorted(names)))
+        return (*values_at(rec.params), rec.check_id)
+
+    return sorted(records, key=key)
 
 
 @dataclass
@@ -98,7 +138,7 @@ class VerificationReport:
     records: list[CheckRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        self.records = sorted(self.records, key=_sort_key)
+        self.records = _in_report_order(self.records)
 
     @property
     def total(self) -> int:
@@ -180,9 +220,9 @@ def _record(check_id: str, params: dict[str, int], expected, actual) -> CheckRec
     else:
         ok = actual == expected.value
     try:  # str() inline, as in Valuation.__str__
-        return CheckRecord(check_id, params, str(expected), str(actual), ok)
+        return CheckRecord._trusted(check_id, params, str(expected), str(actual), ok)
     except ValueError:  # an int or Fraction past str()'s int digit limit
-        return CheckRecord(check_id, params, _str(expected), _str(actual), ok)
+        return CheckRecord._trusted(check_id, params, _str(expected), _str(actual), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +308,11 @@ def check_lemma22(a: int, n: int, t: int) -> CheckRecord:
     top = _row_top(3, a, n)
     if not 0 <= t <= (top - 2) // 2:
         raise DomainError(f"need 0 <= t <= (a*3^n - 2)/2 = {(top - 2) // 2}, got {t}")
-    vals = valuation_row(3, top)
+    return _lemma22(a, n, top, t, valuation_row(3, top))
+
+
+def _lemma22(a: int, n: int, top: int, t: int, vals) -> CheckRecord:
+    """check_lemma22's record, given its checked arguments, top = a*3^n and row top's valuations."""
     rhs = vals[top - 2 * t] + vp_int(3, 2 * t + 1) + n
     return _record("lemma22", {"a": a, "n": n, "t": t}, rhs, vals[top - 2 * t - 1])
 
@@ -325,7 +369,11 @@ def _an_cells(
 
 def _an_sweep(p: int, a, n, n_max, cell, offset=0) -> list[CheckRecord]:
     """The records ``cell(a, n, top, vals)`` yields for each cell of an a*p^n grid
-    (see :func:`_an_cells`), vals being the one row v_p(s(top + offset, .))."""
+    (see :func:`_an_cells`), vals being the one row v_p(s(top + offset, .)).
+
+    The cells have checked a, n and the index range, so a cell computes each
+    claim on the plain-int core (``oracles._full``, ``_cor1``, ``_thm2_shift``,
+    ``_conjecture13``) that the public oracle calls after its own checks."""
     records = []
     for a, n, top in _an_cells(p, a, n, n_max):
         records.extend(cell(a, n, top, valuation_row(p, top + offset)))
@@ -340,8 +388,7 @@ def _an_sweep(p: int, a, n, n_max, cell, offset=0) -> list[CheckRecord]:
 def _sweep_thm1(a=None, n=None, n_max=6) -> list[CheckRecord]:
     def cell(a, n, top, vals):
         for t in range(1, top - 1):
-            q = decompose_p(_P3, a, n, t)
-            yield _record("thm1", {"a": a, "n": n, "t": t}, thm1_valuation(q), vals[t])
+            yield _record("thm1", {"a": a, "n": n, "t": t}, _full(3, a, n, top, t), vals[t])
 
     return _an_sweep(3, a, n, n_max, cell)
 
@@ -350,7 +397,7 @@ def _sweep_cor1(a=None, n=None, n_max=6) -> list[CheckRecord]:
     def cell(a, n, top, vals):
         k_top = min(2 * a * 3 ** (n - 1) + 1, top - 1)
         for k in range(2, k_top + 1):
-            yield _record("cor1", {"a": a, "n": n, "k": k}, cor1_valuation(a, n, k), vals[top - k])
+            yield _record("cor1", {"a": a, "n": n, "k": k}, _cor1(n, k), vals[top - k])
 
     return _an_sweep(3, a, n, n_max, cell)
 
@@ -358,7 +405,7 @@ def _sweep_cor1(a=None, n=None, n_max=6) -> list[CheckRecord]:
 def _sweep_thm2(a=None, n=None, n_max=5) -> list[CheckRecord]:
     def cell(a, n, top, vals_up):
         for k in range(1, top + 1):
-            claim = thm2_shift_valuation(a, n, k)
+            claim = _thm2_shift(a, n, top, k)
             yield _record("thm2", {"a": a, "n": n, "k": k}, claim, vals_up[k + 1])
 
     return _an_sweep(3, a, n, n_max, cell, offset=1)
@@ -366,7 +413,7 @@ def _sweep_thm2(a=None, n=None, n_max=5) -> list[CheckRecord]:
 
 def _sweep_thm34(a=None, n=None, n_max=6) -> list[CheckRecord]:
     def cell(a, n, top, vals):
-        peak = max(vals[1:]).value
+        peak = max(v.value for v in vals[1:])
         bound = max_valuation_bound(a, n)
         yield _record("thm34", {"a": a, "n": n}, bound.value, peak)
 
@@ -383,11 +430,11 @@ def _sweep_lemma21(n_max=40) -> list[CheckRecord]:
 
 
 def _sweep_lemma22(a=None, n=None, n_max=5) -> list[CheckRecord]:
-    records = []
-    for a, n, top in _an_cells(3, a, n, n_max):
+    def cell(a, n, top, vals):
         for t in range(0, (top - 2) // 2 + 1):
-            records.append(check_lemma22(a, n, t))
-    return records
+            yield _lemma22(a, n, top, t, vals)
+
+    return _an_sweep(3, a, n, n_max, cell)
 
 
 def _sweep_lemma24(m_max=15, n_max=15) -> list[CheckRecord]:
@@ -431,18 +478,17 @@ def _sweep_congruence(m_max=20, n_max=20) -> list[CheckRecord]:
 
 
 def _sweep_conjecture13(p=3, a=1, n=None, n_max=None) -> list[CheckRecord]:
-    p = as_prime(p)
-    q = p.p
+    q = as_prime(p).p
     if n_max is None:  # default exploration budget: the largest n with a*p^n <= 650 (2^10 > 650)
         n_max = sum(1 for i in range(1, 11) if a * q**i <= 650)
 
     def cell(a, n, top, vals):
         for m in range(1, n + 1):
-            k_top = min(a * (q - 1) * q ** (m - 1) + 1, a * q**m - 1)
-            for k in range(2, k_top + 1):
-                query = QueryP(p, a, n, m, k)
+            cell_top = a * q**m
+            for k in range(2, min(a * (q - 1) * q ** (m - 1) + 1, cell_top - 1) + 1):
                 params = {"p": q, "a": a, "n": n, "m": m, "k": k}
-                yield _record("conjecture13", params, conjecture13_valuation(query), vals[query.t])
+                claim = _conjecture13(q, n, m, k, top, cell_top)
+                yield _record("conjecture13", params, claim, vals[cell_top - k])
 
     return _an_sweep(q, a, n, n_max, cell)
 

@@ -28,6 +28,7 @@ from stirval import (
     komatsu_young_valuation,
     max_valuation_bound,
     stirling1_row,
+    sweep,
     thm1_valuation,
     thm2_shift_valuation,
     valuation_row,
@@ -554,3 +555,43 @@ def test_queryp_and_oracle_result_are_immutable_values():
         assert pickle.loads(pickle.dumps(obj)) == obj and copy.copy(obj) == obj
     assert repr(q) == "QueryP(p=Prime(p=3), a=1, n=2, m=2, k=3)"
     assert repr(r) == "OracleResult(kind=<BoundKind.LOWER_BOUND: 'lower_bound'>, value=Valuation(2))"
+
+
+def test_public_oracles_equal_the_cores_the_sweeps_call():
+    """The sweeps compute each claim on a plain-int core, so only this test
+    runs the public oracles over the sweeps' grids: thm1 and cor1 at n <= 6,
+    thm2 at n <= 5 and conjecture13 at p = 2, 3, 5, 7, each at its defaults.
+    At every index the record states the core's value, and each public
+    oracle returns that value, in type as well."""
+    cores = 0
+    for rec in sweep("thm1").records:
+        a, n, t = rec.params["a"], rec.params["n"], rec.params["t"]
+        core = oracles._full(3, a, n, a * 3**n, t)
+        assert type(core) is int and rec.expected == str(core), rec
+        for got in (thm1_valuation(decompose_p(3, a, n, t)), full_valuation_3(a, n, t)):
+            assert type(got) is Valuation and got.value == core, rec
+        cores += 1
+    for rec in sweep("cor1").records:
+        a, n, k = rec.params["a"], rec.params["n"], rec.params["k"]
+        core = oracles._cor1(n, k)
+        assert type(core) is int and rec.expected == str(core), rec
+        got = cor1_valuation(a, n, k)
+        assert type(got) is Valuation and got.value == core, rec
+        cores += 1
+    for rec in sweep("thm2").records:
+        a, n, k = rec.params["a"], rec.params["n"], rec.params["k"]
+        core = oracles._thm2_shift(a, n, a * 3**n, k)
+        assert type(core) is OracleResult and type(core.value) is Valuation, rec
+        assert rec.expected == str(core), rec
+        got = thm2_shift_valuation(a, n, k)
+        assert type(got) is OracleResult and type(got.value) is Valuation and got == core, rec
+        cores += 1
+    for p in (2, 3, 5, 7):
+        for rec in sweep("conjecture13", {"p": p}).records:
+            a, n, m, k = (rec.params[name] for name in ("a", "n", "m", "k"))
+            core = oracles._conjecture13(p, n, m, k, a * p**n, a * p**m)
+            assert type(core) is int and rec.expected == str(core), rec
+            got = conjecture13_valuation(QueryP(p, a, n, m, k))
+            assert type(got) is Valuation and got.value == core, rec
+            cores += 1
+    assert cores > 7000

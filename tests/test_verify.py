@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -246,8 +248,8 @@ def test_over_cap_identity_grids_build_no_row(cold_rows, monkeypatch, suite, lim
 
 #: The suites that read one valuation row per cell, each on a small grid: its
 #: limits, the (p, N) rows it must read (one per cell, largest first; thm2
-#: reads row top + 1, and lemma22 reads its row once per record), and, in the
-#: first row read, the indices at which the suite's claim is exact.
+#: reads row top + 1), and, in the first row read, the indices at which the
+#: suite's claim is exact.
 _SWEEP_READS = {
     "thm1": ({"n_max": 2}, [(3, 18), (3, 9), (3, 6), (3, 3)], lambda row: range(1, 17)),
     "cor1": ({"n_max": 2}, [(3, 18), (3, 9), (3, 6), (3, 3)], lambda row: range(5, 17)),
@@ -256,8 +258,7 @@ _SWEEP_READS = {
               lambda row: [max(range(1, len(row)), key=row.__getitem__)]),  # the peak
     "conjecture13": ({"p": 5, "n_max": 2}, [(5, 25), (5, 5)], lambda row: range(1, 24)),
     # each index 2..N is compared by exactly one record
-    "lemma22": ({"n_max": 2}, [(3, 18)] * 9 + [(3, 9)] * 4 + [(3, 6)] * 3 + [(3, 3)],
-                lambda row: range(2, len(row))),
+    "lemma22": ({"n_max": 2}, [(3, 18), (3, 9), (3, 6), (3, 3)], lambda row: range(2, len(row))),
 }
 
 
@@ -493,6 +494,46 @@ def test_report_counts_and_sorting():
     assert report.deviations == 0  # not the conjectural suite
     report = VerificationReport("conjecture13", recs)
     assert report.deviations == 1
+
+
+def _per_record_sort_key(rec: CheckRecord) -> tuple:
+    """The report order's key, made by a sorted() per record."""
+    return tuple(rec.params[k] for k in sorted(rec.params)) + (rec.check_id,)
+
+
+def test_report_order_equals_the_per_record_sort_key():
+    """Param-name sets of 1, 2, 3 and 5 names, in either insertion order, in
+    one report, and a report with no params, sort as the per-record key sorts
+    them, ties in input order.  Each name set has its own range of leading
+    values, as no key can order an int against a check_id."""
+    rng = random.Random(25)
+    shapes = [("a", "n", "t"), ("t", "n", "a"), ("p", "a", "n", "m", "k"), ("a", "k", "m", "n", "p"),
+              ("n", "a"), ("a", "n"), ("n",)]
+    mixed = []
+    for i in range(600):
+        names = rng.choice(shapes)
+        params = {name: rng.randint(0, 2) for name in names}
+        params[min(names)] += 10 * len(names)  # the leading value, by name set
+        mixed.append(CheckRecord(rng.choice("xy"), params, str(i), "0", True))
+    empty = [CheckRecord(rng.choice("xyz"), {}, str(i), "0", True) for i in range(30)]
+    for records in (mixed, empty):
+        got = VerificationReport("mixed", records).records
+        assert [r.expected for r in got] == [r.expected for r in sorted(records, key=_per_record_sort_key)]
+    assert len({tuple(r.params) for r in mixed}) == len(shapes)
+
+
+def test_records_are_slotted_frozen_values():
+    """A sweep's record equals the one the constructor makes, has no __dict__,
+    refuses assignment, and dataclasses.replace and pickle still work on it."""
+    rec = sweep("lemma22", {"a": 1, "n": 1}).records[0]
+    same = CheckRecord(rec.check_id, rec.params, rec.expected, rec.actual, rec.passed)
+    assert type(rec) is CheckRecord and rec == same and not hasattr(rec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.passed = False
+    flipped = dataclasses.replace(rec, passed=not rec.passed)
+    assert type(flipped) is CheckRecord and flipped.passed is not rec.passed
+    assert (flipped.check_id, flipped.params, flipped.expected) == (rec.check_id, rec.params, rec.expected)
+    assert pickle.loads(pickle.dumps(rec)) == rec
 
 
 def test_report_determinism():
